@@ -6,14 +6,7 @@ from .core import (
     ZERO,
     FloatingSex,
     SexNumber,
-    add,
-    anchor,
-    compare,
-    double,
-    halve,
     multiply,
-    normalize,
-    to_floating,
 )
 from .regular import (
     Factorization235,
@@ -47,14 +40,7 @@ __all__ = [
     "ZERO",
     "FloatingSex",
     "SexNumber",
-    "add",
-    "anchor",
-    "compare",
-    "double",
-    "halve",
     "multiply",
-    "normalize",
-    "to_floating",
     "Factorization235",
     "IrregularError",
     "NoFiniteSolutionError",

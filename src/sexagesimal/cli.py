@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import tables, translit
-from .core import SexNumber, multiply, to_floating
+from .core import SexNumber, _remove_factor, multiply
 from .regular import IrregularError, NoFiniteSolutionError, invert, solve_linear
 
 EXIT_OK = 0
@@ -39,9 +39,8 @@ def _factored(n: int) -> str:
     m = n
     p = 2
     while p * p <= m:
-        while m % p == 0:
-            parts.append(p)
-            m //= p
+        m, k = _remove_factor(m, p)
+        parts += [p] * k
         p += 1 if p == 2 else 2
     if m > 1:
         parts.append(m)
@@ -95,7 +94,7 @@ def _cmd_recip(args: argparse.Namespace) -> int:
             f"{translit.format(value)} is irregular, its reciprocal does not"
             f" exist as a finite digit string ({_residue_detail(exc.residue)})",
         )
-    floating = to_floating(anchored)
+    floating = anchored.to_floating()
     floating_text = translit.format(floating)
     anchored_text = translit.format(anchored)
     print(f"floating: {floating_text}")
@@ -149,7 +148,7 @@ def _cmd_table_standard(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.file, encoding="utf-8") as handle:
+    with open(args.file, encoding="utf-8", newline="") as handle:
         text = handle.read()
     report = tables.verify_table(tables.parse_tsv(text), args.mode)
     for finding in report.bad():

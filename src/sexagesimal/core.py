@@ -12,19 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import TypeVar
 
 BASE = 60
 
 
-def _strip_base(mantissa: int, exponent: int) -> tuple[int, int]:
-    """Move every factor of 60 out of the mantissa into the exponent."""
-    if mantissa == 0:
-        return 0, 0
-    while mantissa % BASE == 0:
-        mantissa //= BASE
-        exponent += 1
-    return mantissa, exponent
+def _remove_factor(n: int, p: int) -> tuple[int, int]:
+    """(n // p**k, k) for the largest k with p**k dividing n; n must be positive.
+
+    Every valuation in the package goes through this one loop.
+    """
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return n, k
 
 
 @total_ordering
@@ -41,11 +42,21 @@ class SexNumber:
     exponent: int = 0
 
     def __post_init__(self) -> None:
+        # Exact type, not isinstance: bool is an int subclass, and a float
+        # equal to an int would carry float arithmetic into every result.
+        if type(self.mantissa) is not int or type(self.exponent) is not int:
+            raise TypeError(
+                "mantissa and exponent must be int, got"
+                f" {type(self.mantissa).__name__} and {type(self.exponent).__name__}"
+            )
         if self.mantissa < 0:
             raise ValueError(f"mantissa must be non-negative, got {self.mantissa}")
-        m, e = _strip_base(self.mantissa, self.exponent)
+        if self.mantissa == 0:
+            object.__setattr__(self, "exponent", 0)
+            return
+        m, k = _remove_factor(self.mantissa, BASE)
         object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", e)
+        object.__setattr__(self, "exponent", self.exponent + k)
 
     def __bool__(self) -> bool:
         return self.mantissa != 0
@@ -102,10 +113,11 @@ class FloatingSex:
     mantissa: int
 
     def __post_init__(self) -> None:
+        if type(self.mantissa) is not int:
+            raise TypeError(f"floating mantissa must be int, got {type(self.mantissa).__name__}")
         if self.mantissa <= 0:
             raise ValueError(f"floating mantissa must be positive, got {self.mantissa}")
-        m, _ = _strip_base(self.mantissa, 0)
-        object.__setattr__(self, "mantissa", m)
+        object.__setattr__(self, "mantissa", _remove_factor(self.mantissa, BASE)[0])
 
     def double(self) -> "FloatingSex":
         return FloatingSex(self.mantissa * 2)
@@ -122,17 +134,6 @@ class FloatingSex:
 ZERO = SexNumber(0)
 ONE = SexNumber(1)
 
-_Doubleable = TypeVar("_Doubleable", SexNumber, FloatingSex)
-
-
-def normalize(mantissa: int, exponent: int = 0) -> SexNumber:
-    """Canonical SexNumber equal to mantissa * 60**exponent."""
-    return SexNumber(mantissa, exponent)
-
-
-def add(a: SexNumber, b: SexNumber) -> SexNumber:
-    return a + b
-
 
 def multiply(multiplicand: SexNumber, multiplier: SexNumber) -> SexNumber:
     """Exact product.
@@ -142,26 +143,3 @@ def multiply(multiplicand: SexNumber, multiplier: SexNumber) -> SexNumber:
     commutative; the order is a naming convention only.
     """
     return multiplicand * multiplier
-
-
-def double(a: _Doubleable) -> _Doubleable:
-    return a.double()
-
-
-def halve(a: _Doubleable) -> _Doubleable:
-    return a.halve()
-
-
-def compare(a: SexNumber, b: SexNumber) -> int:
-    """-1, 0 or 1, ordering by exact rational value."""
-    if a == b:
-        return 0
-    return -1 if a < b else 1
-
-
-def to_floating(a: SexNumber) -> FloatingSex:
-    return a.to_floating()
-
-
-def anchor(f: FloatingSex, exponent: int) -> SexNumber:
-    return f.anchor(exponent)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .core import BASE, FloatingSex, SexNumber
+from .core import BASE, FloatingSex, SexNumber, _remove_factor
 
 
 class IrregularError(ArithmeticError):
@@ -68,26 +68,26 @@ def factor235(n: int) -> Factorization235:
     """Exact exponents of 2, 3 and 5 in n, plus the coprime residue."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    exponents = []
-    for p in (2, 3, 5):
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        exponents.append(k)
-    return Factorization235(*exponents, residue=n)
+    n, two = _remove_factor(n, 2)
+    n, three = _remove_factor(n, 3)
+    n, five = _remove_factor(n, 5)
+    return Factorization235(two, three, five, residue=n)
 
 
 def is_regular(x: FloatingSex | int) -> bool:
     """True when x has a finite base-60 reciprocal."""
     mantissa = x.mantissa if isinstance(x, FloatingSex) else x
-    return factor235(mantissa).residue == 1
+    return factor235(mantissa).is_regular
 
 
-def _reciprocal_power(f: Factorization235) -> int:
-    # Smallest k with 2**two * 3**three * 5**five dividing 60**k;
+def _reciprocal_of(q: int, error: type[ArithmeticError]) -> tuple[int, int]:
+    """(k, 60**k // q) for the least k with q dividing 60**k; else raise error(q, residue)."""
+    f = factor235(q)
+    if not f.is_regular:
+        raise error(q, f.residue)
     # 60**k carries 2**(2k), 3**k and 5**k.
-    return max((f.two + 1) // 2, f.three, f.five)
+    k = max((f.two + 1) // 2, f.three, f.five)
+    return k, BASE**k // q
 
 
 def reciprocal(x: FloatingSex | int) -> FloatingSex:
@@ -101,22 +101,15 @@ def reciprocal(x: FloatingSex | int) -> FloatingSex:
     """
     if isinstance(x, int):
         x = FloatingSex(x)
-    f = factor235(x.mantissa)
-    if not f.is_regular:
-        raise IrregularError(x.mantissa, f.residue)
-    k = _reciprocal_power(f)
-    return FloatingSex(BASE**k // x.mantissa)
+    return FloatingSex(_reciprocal_of(x.mantissa, IrregularError)[1])
 
 
 def invert(a: SexNumber) -> SexNumber:
     """Exact 1/a with its true place value, for regular nonzero a."""
     if not a:
         raise ZeroDivisionError("zero has no reciprocal")
-    f = factor235(a.mantissa)
-    if not f.is_regular:
-        raise IrregularError(a.mantissa, f.residue)
-    k = _reciprocal_power(f)
-    return SexNumber(BASE**k // a.mantissa, -k - a.exponent)
+    k, r = _reciprocal_of(a.mantissa, IrregularError)
+    return SexNumber(r, -k - a.exponent)
 
 
 def solve_linear(a: SexNumber, b: SexNumber) -> SexNumber:
@@ -130,25 +123,13 @@ def solve_linear(a: SexNumber, b: SexNumber) -> SexNumber:
     if not a:
         raise ZeroDivisionError("division by zero")
     g = gcd(b.mantissa, a.mantissa)
-    p, q = b.mantissa // g, a.mantissa // g
-    f = factor235(q)
-    if not f.is_regular:
-        raise NoFiniteSolutionError(q, f.residue)
-    k = _reciprocal_power(f)
-    return SexNumber(p * (BASE**k // q), b.exponent - a.exponent - k)
-
-
-def is_power_of_60(n: int) -> bool:
-    if n < 1:
-        return False
-    while n % BASE == 0:
-        n //= BASE
-    return n == 1
+    k, r = _reciprocal_of(a.mantissa // g, NoFiniteSolutionError)
+    return SexNumber(b.mantissa // g * r, b.exponent - a.exponent - k)
 
 
 def is_reciprocal_pair(x: FloatingSex, y: FloatingSex) -> bool:
     """True when the floating product of the two values is 1."""
-    return is_power_of_60(x.mantissa * y.mantissa)
+    return _remove_factor(x.mantissa * y.mantissa, BASE)[0] == 1
 
 
 @dataclass(frozen=True)

@@ -198,12 +198,20 @@ def standard_table_tsv(pairs: Sequence[ReciprocalPair]) -> str:
 def parse_tsv(text: str) -> list[tuple[int, str, str]]:
     """Split a table file into (index, value, reciprocal) text rows.
 
-    The line structure is rigid: three TAB-separated fields with an
-    integer index.  Structural faults raise ValueError naming the line;
+    The line structure is rigid: LF-terminated lines of three
+    TAB-separated fields with an integer index.  Structural faults,
+    including any carriage return, raise ValueError naming the line;
     number notation inside the fields is left to verify_table.
     """
+    cr = text.find("\r")
+    if cr >= 0:
+        lineno = text.count("\n", 0, cr) + 1
+        raise ValueError(f"line {lineno}: carriage return found; lines must end in LF only")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the piece after the final newline
     rows: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ValueError(

@@ -66,7 +66,7 @@ class Transliteration:
         # part before a semicolon ("0;6"), as the first fractional digit
         # of a headless fraction (";0,45"), or as the lone digit 0.
         if self.digits[0] == 0 and len(self.digits) > 1 and si not in (0, 1):
-            raise ValueError("leading zero digit is not positional")
+            raise ParseError("leading zero digit is not positional", _skip_whitespace(self.raw, 0))
 
 
 def _skip_whitespace(text: str, i: int) -> int:
@@ -105,7 +105,6 @@ def parse(text: str) -> Transliteration:
     i = _skip_whitespace(text, 0)
     if i == len(text):
         raise ParseError("empty numeral", i)
-    first = i
     if text[i] == ";":
         semicolon_index = 0
         i = _scan_digits(text, i + 1, digits)
@@ -118,8 +117,6 @@ def parse(text: str) -> Transliteration:
         if text[i] == ";":
             raise ParseError("more than one semicolon", i)
         raise ParseError(f"unexpected character {text[i]!r}", i)
-    if digits[0] == 0 and len(digits) > 1 and semicolon_index not in (0, 1):
-        raise ParseError("leading zero digit is not positional", first)
     return Transliteration(tuple(digits), semicolon_index, text)
 
 

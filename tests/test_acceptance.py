@@ -15,7 +15,7 @@ from pathlib import Path
 from conftest import run_cli
 
 from sexagesimal import translit
-from sexagesimal.core import FloatingSex, to_floating
+from sexagesimal.core import FloatingSex
 from sexagesimal.regular import is_regular, reciprocal
 from sexagesimal.tables import generate_doubling
 
@@ -117,7 +117,7 @@ def test_criterion_5_halving_matches_direct_reciprocals():
     mismatches = [
         row.index
         for row in table.rows
-        if to_floating(row.reciprocal) != reciprocal(row.value)
+        if row.reciprocal.to_floating() != reciprocal(row.value)
     ]
     report(
         5,

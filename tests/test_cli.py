@@ -189,6 +189,13 @@ class TestVerifyCommand:
         assert code == 2
         assert "line 1" in err
 
+    def test_crlf_line_endings_rejected(self, cli, tmp_path):
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(b"1\t10\t0;6\r\n2\t20\t0;3\r\n")
+        code, _, err = cli("verify", str(crlf))
+        assert code == 2
+        assert "line 1" in err
+
 
 class TestUsage:
     def test_no_arguments(self, cli):

@@ -6,21 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sexagesimal.core import (
-    BASE,
-    ONE,
-    ZERO,
-    FloatingSex,
-    SexNumber,
-    add,
-    anchor,
-    compare,
-    double,
-    halve,
-    multiply,
-    normalize,
-    to_floating,
-)
+from sexagesimal.core import BASE, ONE, ZERO, FloatingSex, SexNumber, multiply
 
 
 def rational(x: SexNumber) -> Fraction:
@@ -54,27 +40,32 @@ floating_values = st.builds(FloatingSex, st.integers(min_value=1, max_value=BASE
 class TestNormalize:
     def test_already_canonical(self):
         # 10,12;45 as a raw pair: 36765 carries no factor of 60
-        assert normalize(36765, -1) == SexNumber(36765, -1)
-        assert normalize(36765, -1).mantissa == 36765
+        assert SexNumber(36765, -1) == SexNumber(36765, -1)
+        assert SexNumber(36765, -1).mantissa == 36765
 
     def test_zero_collapses_exponent(self):
-        assert normalize(0, 7) == SexNumber(0, 0)
-        assert normalize(0, 7).exponent == 0
+        assert SexNumber(0, 7) == SexNumber(0, 0)
+        assert SexNumber(0, 7).exponent == 0
 
     def test_strips_factors_of_base(self):
         assert strip_oracle(3600, 0) == (1, 2)
-        n = normalize(3600, 0)
+        n = SexNumber(3600, 0)
         assert (n.mantissa, n.exponent) == (1, 2)
 
     @given(st.integers(min_value=0, max_value=BASE**10), st.integers(-20, 20))
     def test_matches_strip_oracle(self, mantissa, exponent):
-        n = normalize(mantissa, exponent)
+        n = SexNumber(mantissa, exponent)
         assert (n.mantissa, n.exponent) == strip_oracle(mantissa, exponent)
         assert rational(n) == Fraction(mantissa) * Fraction(BASE) ** exponent
 
     def test_rejects_negative_mantissa(self):
         with pytest.raises(ValueError):
             SexNumber(-1)
+
+    @pytest.mark.parametrize("args", [(7200.0,), (True,), (5, 1.0)])
+    def test_rejects_non_int_fields(self, args):
+        with pytest.raises(TypeError):
+            SexNumber(*args)
 
     @given(sex_numbers)
     def test_canonicality(self, x):
@@ -103,18 +94,22 @@ class TestFloatingSex:
         with pytest.raises(ValueError):
             FloatingSex(bad)
 
+    def test_rejects_non_int_mantissa(self):
+        with pytest.raises(TypeError):
+            FloatingSex(2.0)
+
 
 class TestAdd:
     def test_doubling_by_addition(self):
-        assert add(SexNumber(10), SexNumber(10)) == SexNumber(20)
+        assert SexNumber(10) + SexNumber(10) == SexNumber(20)
 
     @given(sex_numbers)
     def test_additive_identity(self, x):
-        assert add(x, ZERO) == x
+        assert x + ZERO == x
 
     def test_carry_into_next_place(self):
         # integer oracle: 59 + 1 = 60 = 1 * 60**1
-        assert add(SexNumber(59), SexNumber(1)) == SexNumber(1, 1)
+        assert SexNumber(59) + SexNumber(1) == SexNumber(1, 1)
 
     @given(sex_numbers, sex_numbers)
     def test_commutative_and_exact(self, a, b):
@@ -163,21 +158,21 @@ class TestMultiply:
 class TestDoubleHalve:
     def test_doubling_a_table_value(self):
         # 10,40 doubles to 21,20
-        assert double(SexNumber(640)) == SexNumber(1280)
-        assert double(FloatingSex(640)) == FloatingSex(1280)
+        assert SexNumber(640).double() == SexNumber(1280)
+        assert FloatingSex(640).double() == FloatingSex(1280)
 
     def test_halving_a_reciprocal(self):
         # 0;6 halves to 0;3
-        assert halve(SexNumber(6, -1)) == SexNumber(3, -1)
+        assert SexNumber(6, -1).halve() == SexNumber(3, -1)
 
     def test_zero_fixed_point(self):
-        assert halve(ZERO) == ZERO
-        assert double(ZERO) == ZERO
+        assert ZERO.halve() == ZERO
+        assert ZERO.double() == ZERO
 
     @given(sex_numbers)
     def test_inverse_each_way(self, x):
-        assert halve(double(x)) == x
-        assert double(halve(x)) == x
+        assert x.double().halve() == x
+        assert x.halve().double() == x
 
     @given(floating_values)
     def test_inverse_on_floating(self, x):
@@ -186,42 +181,42 @@ class TestDoubleHalve:
 
     @given(sex_numbers)
     def test_exactness(self, x):
-        assert rational(double(x)) == 2 * rational(x)
-        assert rational(halve(x)) == rational(x) / 2
+        assert rational(x.double()) == 2 * rational(x)
+        assert rational(x.halve()) == rational(x) / 2
 
 
 class TestCompare:
     def test_fraction_below_unit(self):
-        assert compare(SexNumber(15, -1), ONE) == -1
+        assert SexNumber(15, -1) < ONE
 
     def test_reflexive_equal(self):
-        assert compare(SexNumber(640), SexNumber(640)) == 0
+        assert SexNumber(640) == SexNumber(640)
 
     def test_cross_exponent(self):
         # 2,40 against 0;0,22,30 shifted up by 60**5; rational oracle decides
         small = SexNumber(160)
         big = multiply(SexNumber(1350, -2), SexNumber(1, 5))
         assert rational(small) < rational(big)
-        assert compare(small, big) == -1
+        assert small < big
 
     @given(sex_numbers, sex_numbers)
     def test_total_order_matches_rational_oracle(self, a, b):
-        expected = (rational(a) > rational(b)) - (rational(a) < rational(b))
-        assert compare(a, b) == expected
+        assert (a == b) == (rational(a) == rational(b))
+        assert (a > b) == (rational(a) > rational(b))
         assert (a < b) == (rational(a) < rational(b))
         assert (a <= b) == (rational(a) <= rational(b))
 
 
 class TestFloatingRoundTrip:
     def test_drop_the_place_value(self):
-        assert to_floating(SexNumber(15, -1)) == FloatingSex(15)
+        assert SexNumber(15, -1).to_floating() == FloatingSex(15)
 
     def test_reattach_the_place_value(self):
-        assert anchor(FloatingSex(15), -1) == SexNumber(15, -1)
+        assert FloatingSex(15).anchor(-1) == SexNumber(15, -1)
 
     def test_zero_has_no_floating_form(self):
         with pytest.raises(ValueError):
-            to_floating(ZERO)
+            ZERO.to_floating()
 
     def test_multidigit_mantissa(self):
         # positional oracle on the digit string 6,54,15,8,5,20
@@ -229,9 +224,9 @@ class TestFloatingRoundTrip:
         expected = 0
         for d in digits:
             expected = expected * 60 + d
-        assert to_floating(SexNumber(expected)) == FloatingSex(expected)
+        assert SexNumber(expected).to_floating() == FloatingSex(expected)
         assert FloatingSex(expected).mantissa == 5368709120
 
     @given(nonzero_sex_numbers)
     def test_round_trip(self, x):
-        assert anchor(to_floating(x), x.exponent) == x
+        assert x.to_floating().anchor(x.exponent) == x

@@ -14,7 +14,6 @@ from sexagesimal.regular import (
     ReciprocalPair,
     factor235,
     invert,
-    is_power_of_60,
     is_reciprocal_pair,
     is_regular,
     reciprocal,
@@ -222,10 +221,12 @@ class TestRegularNumbers:
 
 class TestPairHelpers:
     def test_power_of_60(self):
-        assert is_power_of_60(1)
-        assert is_power_of_60(60**5)
-        assert not is_power_of_60(70)
-        assert not is_power_of_60(0)
+        # the pair relation holds exactly when the mantissa product is 60**k
+        assert is_reciprocal_pair(FloatingSex(1), FloatingSex(1))
+        assert power_of_60_oracle(81 * 160000)
+        assert is_reciprocal_pair(FloatingSex(81), FloatingSex(160000))
+        assert not is_reciprocal_pair(FloatingSex(7), FloatingSex(10))
+        assert not is_reciprocal_pair(FloatingSex(20), FloatingSex(6))  # 2 * 60
 
     def test_pair_relation(self):
         assert is_reciprocal_pair(FloatingSex(10), FloatingSex(6))

@@ -3,7 +3,7 @@
 import pytest
 
 from sexagesimal import translit
-from sexagesimal.core import FloatingSex, SexNumber, to_floating
+from sexagesimal.core import FloatingSex, SexNumber
 from sexagesimal.regular import IrregularError, ReciprocalPair, reciprocal
 from sexagesimal.tables import (
     DOUBLING_BAD,
@@ -59,7 +59,7 @@ class TestGenerateDoubling:
 
     def test_halving_chain_agrees_with_direct_reciprocals(self):
         for row in generate_doubling(10, 30).rows:
-            assert to_floating(row.reciprocal) == reciprocal(row.value)
+            assert row.reciprocal.to_floating() == reciprocal(row.value)
 
     def test_anchor_exponent_moves_row_one(self):
         # seed 10 read as 10*60: its reciprocal is 0;0,6
@@ -196,3 +196,11 @@ class TestTsv:
     def test_structural_faults_raise(self, text):
         with pytest.raises(ValueError):
             parse_tsv(text)
+
+    def test_carriage_return_names_its_line(self):
+        with pytest.raises(ValueError, match="line 2"):
+            parse_tsv("1\t10\t0;6\n2\t20\t0;3\r\n")
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028"])
+    def test_only_lf_ends_a_line(self, separator):
+        assert parse_tsv(f"1\t1{separator}0\t0;6\n") == [(1, f"1{separator}0", "0;6")]

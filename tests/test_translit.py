@@ -56,6 +56,7 @@ class TestParse:
             ("1;2;3", 3),
             ("06", 0),
             ("0,5", 0),
+            ("  0,5", 2),
             ("0,5;3", 0),
             ("abc", 0),
             ("1.5", 1),
