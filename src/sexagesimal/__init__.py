@@ -12,7 +12,6 @@ from .regular import (
     Factorization235,
     IrregularError,
     NoFiniteSolutionError,
-    ReciprocalPair,
     factor235,
     invert,
     is_reciprocal_pair,
@@ -22,7 +21,6 @@ from .regular import (
     solve_linear,
 )
 from .tables import (
-    DoublingTable,
     Finding,
     TableRow,
     VerificationReport,
@@ -44,7 +42,6 @@ __all__ = [
     "Factorization235",
     "IrregularError",
     "NoFiniteSolutionError",
-    "ReciprocalPair",
     "factor235",
     "invert",
     "is_reciprocal_pair",
@@ -52,7 +49,6 @@ __all__ = [
     "reciprocal",
     "regular_numbers",
     "solve_linear",
-    "DoublingTable",
     "Finding",
     "TableRow",
     "VerificationReport",

@@ -140,11 +140,11 @@ def _emit(path: str | None, text: str) -> int:
 def _cmd_table_double(args: argparse.Namespace) -> int:
     seed = translit.to_number(translit.parse(args.seed), "floating")
     table = tables.generate_doubling(seed, args.rows, args.anchor)
-    return _emit(args.output, tables.doubling_table_tsv(table))
+    return _emit(args.output, tables.table_tsv(table))
 
 
 def _cmd_table_standard(args: argparse.Namespace) -> int:
-    return _emit(args.output, tables.standard_table_tsv(tables.generate_standard(args.limit)))
+    return _emit(args.output, tables.table_tsv(tables.generate_standard(args.limit)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

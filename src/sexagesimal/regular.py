@@ -132,25 +132,6 @@ def is_reciprocal_pair(x: FloatingSex, y: FloatingSex) -> bool:
     return _remove_factor(x.mantissa * y.mantissa, BASE)[0] == 1
 
 
-@dataclass(frozen=True)
-class ReciprocalPair:
-    """A regular value together with its finite reciprocal.
-
-    The defining relation, checked on construction: the product of the
-    two mantissas is a power of 60 (floating product is 1).
-    """
-
-    value: FloatingSex
-    reciprocal: FloatingSex
-
-    def __post_init__(self) -> None:
-        if not is_reciprocal_pair(self.value, self.reciprocal):
-            raise ValueError(
-                f"{self.value.mantissa} and {self.reciprocal.mantissa}"
-                " are not a reciprocal pair"
-            )
-
-
 def regular_numbers(limit: int) -> list[int]:
     """All regular integers in [2, limit], ascending."""
     found: list[int] = []

@@ -3,9 +3,10 @@
 A doubling table starts from a regular seed and repeatedly doubles it
 while halving its reciprocal; both walks are exact, so every row stays a
 reciprocal pair.  This is how scribes extended their reciprocal lists
-cheaply.  The verifier goes the other way: given a transcribed table, it
-checks the relations structurally and reports findings without ever
-correcting an entry.
+cheaply.  Both generators return numbered ``TableRow``s.  The verifier
+goes the other way: given a transcribed table, it checks the relations
+structurally, counts the ones that hold and reports findings for the
+ones that do not, without ever correcting an entry.
 
 Table file format (bit-exact): UTF-8, one row per line, three
 TAB-separated fields ``index<TAB>value<TAB>reciprocal``, LF endings,
@@ -14,12 +15,13 @@ no header.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from . import translit
 from .core import FloatingSex, SexNumber
-from .regular import ReciprocalPair, invert, is_reciprocal_pair, reciprocal, regular_numbers
+from .regular import invert, is_reciprocal_pair, reciprocal, regular_numbers
 
 PAIR_OK = "PAIR_OK"
 PAIR_BAD = "PAIR_BAD"
@@ -29,27 +31,19 @@ HALVING_OK = "HALVING_OK"
 HALVING_BAD = "HALVING_BAD"
 PARSE_ERROR = "PARSE_ERROR"
 
-_BAD_KINDS = frozenset({PAIR_BAD, DOUBLING_BAD, HALVING_BAD, PARSE_ERROR})
-
 
 @dataclass(frozen=True)
 class TableRow:
-    """One table line: a floating value and its anchored reciprocal."""
+    """One table line: a floating value and its anchored or floating reciprocal."""
 
     index: int
     value: FloatingSex
-    reciprocal: SexNumber
-
-
-@dataclass(frozen=True)
-class DoublingTable:
-    seed: FloatingSex
-    rows: tuple[TableRow, ...]
+    reciprocal: SexNumber | FloatingSex
 
 
 def generate_doubling(
     seed: FloatingSex | int, count: int, anchor_exponent: int = 0
-) -> DoublingTable:
+) -> tuple[TableRow, ...]:
     """Successively double a seed while halving its reciprocal.
 
     Row 1 pairs the seed with the reciprocal of the seed anchored at
@@ -70,20 +64,26 @@ def generate_doubling(
         value = value.double()
         rec = rec.halve()
         rows.append(TableRow(index, value, rec))
-    return DoublingTable(seed, tuple(rows))
+    return tuple(rows)
 
 
-def generate_standard(limit: int) -> tuple[ReciprocalPair, ...]:
-    """Reciprocal pairs for every regular integer in [2, limit], ascending.
+def generate_standard(limit: int) -> tuple[TableRow, ...]:
+    """Rows numbered from 1 for every regular integer in [2, limit], ascending.
 
-    Irregular integers are left out entirely, as on the historical
-    tablets, which list no entry at all for them.
+    Both columns are floating.  Irregular integers are left out
+    entirely, as on the historical tablets, which list no entry at all
+    for them.
     """
     if limit < 2:
         raise ValueError(f"limit must be at least 2, got {limit}")
-    return tuple(
-        ReciprocalPair(FloatingSex(n), reciprocal(n)) for n in regular_numbers(limit)
-    )
+    rows = []
+    for index, n in enumerate(regular_numbers(limit), start=1):
+        value = FloatingSex(n)
+        rec = reciprocal(value)
+        if not is_reciprocal_pair(value, rec):
+            raise ValueError(f"{value.mantissa} and {rec.mantissa} are not a reciprocal pair")
+        rows.append(TableRow(index, value, rec))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -95,103 +95,86 @@ class Finding:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The bad findings, and a count per kind; OK relations are only counted."""
+
     findings: tuple[Finding, ...]
+    counts: Counter[str]
 
     @property
     def ok(self) -> bool:
-        return not self.bad()
+        return not self.findings
 
     def bad(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.kind in _BAD_KINDS)
+        return self.findings
 
     def count(self, kind: str) -> int:
-        return sum(1 for f in self.findings if f.kind == kind)
-
-
-def _parse_cell(
-    findings: list[Finding], index: int, field: str, text: str, mode: str
-):
-    try:
-        return translit.to_number(translit.parse(text), mode)
-    except ValueError as exc:  # covers ParseError and the floating-zero case
-        findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
-        return None
+        return self.counts[kind]
 
 
 def verify_table(
-    rows: Sequence[tuple[int, str, str]], mode: str = "pairs"
+    rows: Iterable[tuple[int, str, str]], mode: str = "pairs"
 ) -> VerificationReport:
     """Structurally check transcribed (index, value, reciprocal) rows.
 
-    Every row gets a PAIR_OK/PAIR_BAD finding (is the mantissa product a
+    Every row counts as PAIR_OK or PAIR_BAD (is the mantissa product a
     power of 60?).  In "doubling" mode each adjacent pair of rows also
-    gets DOUBLING_OK/BAD for the value column and HALVING_OK/BAD for the
-    reciprocal column.  Cells that fail to parse yield a PARSE_ERROR
-    finding for their row and the remaining checks continue without
-    them.  Nothing is ever corrected.
+    counts as DOUBLING_OK/BAD for the value column and HALVING_OK/BAD
+    for the reciprocal column.  Cells that fail to parse yield a
+    PARSE_ERROR finding for their row and the remaining checks continue
+    without them.  The row findings come first, then the chain findings,
+    each in row order.  Nothing is ever corrected.
     """
     if mode not in ("pairs", "doubling"):
         raise ValueError(f"unknown mode {mode!r}")
-    findings: list[Finding] = []
-    parsed: list[tuple[int, FloatingSex | None, SexNumber | None]] = []
+    counts: Counter[str] = Counter()
+    row_findings: list[Finding] = []  # PAIR_BAD and PARSE_ERROR
+    chain_findings: list[Finding] = []  # DOUBLING_BAD and HALVING_BAD
+
+    def record(findings, holds, ok_kind, bad_kind, index, message, *args):
+        if holds:
+            counts[ok_kind] += 1
+        else:
+            counts[bad_kind] += 1
+            findings.append(Finding(bad_kind, index, message.format(*args)))
+
+    def parse_cell(index, field, text, reading):
+        try:
+            return translit.to_number(translit.parse(text), reading)
+        except ValueError as exc:  # covers ParseError and the floating-zero case
+            counts[PARSE_ERROR] += 1
+            row_findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
+            return None
+
+    prev_index, prev_value, prev_rec = 0, None, None
     for index, value_text, reciprocal_text in rows:
-        value = _parse_cell(findings, index, "value", value_text, "floating")
-        rec = _parse_cell(findings, index, "reciprocal", reciprocal_text, "absolute")
+        value = parse_cell(index, "value", value_text, "floating")
+        rec = parse_cell(index, "reciprocal", reciprocal_text, "absolute")
         if value is not None and rec is not None:
-            if rec and is_reciprocal_pair(value, rec.to_floating()):
-                findings.append(Finding(PAIR_OK, index))
-            else:
-                findings.append(
-                    Finding(
-                        PAIR_BAD,
-                        index,
-                        f"{value_text.strip()} and {reciprocal_text.strip()}"
-                        " are not a reciprocal pair",
-                    )
-                )
-        parsed.append((index, value, rec))
-    if mode == "doubling":
-        for (prev_index, prev_value, prev_rec), (index, value, rec) in zip(
-            parsed, parsed[1:]
-        ):
+            record(
+                row_findings, bool(rec) and is_reciprocal_pair(value, rec.to_floating()),
+                PAIR_OK, PAIR_BAD, index, "{} and {} are not a reciprocal pair",
+                value_text.strip(), reciprocal_text.strip(),
+            )
+        if mode == "doubling":
             if prev_value is not None and value is not None:
-                if value == prev_value.double():
-                    findings.append(Finding(DOUBLING_OK, index))
-                else:
-                    findings.append(
-                        Finding(
-                            DOUBLING_BAD,
-                            index,
-                            f"value is not the double of row {prev_index}'s",
-                        )
-                    )
+                record(
+                    chain_findings, value == prev_value.double(), DOUBLING_OK, DOUBLING_BAD,
+                    index, "value is not the double of row {}'s", prev_index,
+                )
             if prev_rec is not None and rec is not None:
-                if rec == prev_rec.halve():
-                    findings.append(Finding(HALVING_OK, index))
-                else:
-                    findings.append(
-                        Finding(
-                            HALVING_BAD,
-                            index,
-                            f"reciprocal is not half of row {prev_index}'s",
-                        )
-                    )
-    return VerificationReport(tuple(findings))
+                record(
+                    chain_findings, rec == prev_rec.halve(), HALVING_OK, HALVING_BAD,
+                    index, "reciprocal is not half of row {}'s", prev_index,
+                )
+        prev_index, prev_value, prev_rec = index, value, rec
+    return VerificationReport(tuple(row_findings + chain_findings), counts)
 
 
-def doubling_table_tsv(table: DoublingTable) -> str:
-    """The table in the file format: floating values, anchored reciprocals."""
+def table_tsv(rows: Iterable[TableRow]) -> str:
+    """Rows in the file format; each value is written in its own style (floating or anchored)."""
     return "".join(
         f"{row.index}\t{translit.format(row.value)}\t{translit.format(row.reciprocal)}\n"
-        for row in table.rows
-    )
-
-
-def standard_table_tsv(pairs: Sequence[ReciprocalPair]) -> str:
-    """Standard-table rows, numbered from 1; both columns floating."""
-    return "".join(
-        f"{index}\t{translit.format(pair.value)}\t{translit.format(pair.reciprocal)}\n"
-        for index, pair in enumerate(pairs, start=1)
+        for row in rows
     )
 
 
@@ -199,7 +182,7 @@ def parse_tsv(text: str) -> list[tuple[int, str, str]]:
     """Split a table file into (index, value, reciprocal) text rows.
 
     The line structure is rigid: LF-terminated lines of three
-    TAB-separated fields with an integer index.  Structural faults,
+    TAB-separated fields with an index of ASCII digits.  Structural faults,
     including any carriage return, raise ValueError naming the line;
     number notation inside the fields is left to verify_table.
     """
@@ -218,6 +201,8 @@ def parse_tsv(text: str) -> list[tuple[int, str, str]]:
                 f"line {lineno}: expected 3 tab-separated fields, found {len(fields)}"
             )
         try:
+            if not (fields[0].isascii() and fields[0].isdigit()):
+                raise ValueError
             index = int(fields[0])
         except ValueError:
             raise ValueError(f"line {lineno}: index {fields[0]!r} is not an integer") from None

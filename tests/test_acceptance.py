@@ -116,7 +116,7 @@ def test_criterion_5_halving_matches_direct_reciprocals():
     table = generate_doubling(10, 30)
     mismatches = [
         row.index
-        for row in table.rows
+        for row in table
         if row.reciprocal.to_floating() != reciprocal(row.value)
     ]
     report(

@@ -178,6 +178,26 @@ class TestVerifyCommand:
         assert "row 1: PAIR_BAD" in out
         assert "#RESULT ok=false" in out
 
+    def test_row_findings_come_before_chain_findings(self, cli, tmp_path):
+        lines = Path(str_golden_path()).read_text(encoding="utf-8").splitlines(keepends=True)
+        for row in (5, 12):
+            index, value, reciprocal = lines[row - 1].split("\t")
+            value = value[:-1] + str((int(value[-1]) + 1) % 10)
+            lines[row - 1] = "\t".join((index, value, reciprocal))
+        corrupt = tmp_path / "corrupt.tsv"
+        corrupt.write_text("".join(lines), encoding="utf-8")
+        code, out, _ = cli("verify", "--mode", "doubling", str(corrupt))
+        assert code == 1
+        found = [line.split(": ")[:2] for line in out.splitlines() if line.startswith("row ")]
+        assert [": ".join(f) for f in found] == [
+            "row 5: PAIR_BAD",
+            "row 12: PAIR_BAD",
+            "row 5: DOUBLING_BAD",
+            "row 6: DOUBLING_BAD",
+            "row 12: DOUBLING_BAD",
+            "row 13: DOUBLING_BAD",
+        ]
+
     def test_missing_file(self, cli):
         code, _, err = cli("verify", "/no/such/file.tsv")
         assert code == 3

@@ -11,7 +11,6 @@ from sexagesimal.regular import (
     Factorization235,
     IrregularError,
     NoFiniteSolutionError,
-    ReciprocalPair,
     factor235,
     invert,
     is_reciprocal_pair,
@@ -231,8 +230,3 @@ class TestPairHelpers:
     def test_pair_relation(self):
         assert is_reciprocal_pair(FloatingSex(10), FloatingSex(6))
         assert not is_reciprocal_pair(FloatingSex(10), FloatingSex(7))
-
-    def test_pair_type_checks_its_invariant(self):
-        ReciprocalPair(FloatingSex(10), FloatingSex(6))
-        with pytest.raises(ValueError):
-            ReciprocalPair(FloatingSex(10), FloatingSex(7))

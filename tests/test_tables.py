@@ -4,7 +4,7 @@ import pytest
 
 from sexagesimal import translit
 from sexagesimal.core import FloatingSex, SexNumber
-from sexagesimal.regular import IrregularError, ReciprocalPair, reciprocal
+from sexagesimal.regular import IrregularError, reciprocal
 from sexagesimal.tables import (
     DOUBLING_BAD,
     DOUBLING_OK,
@@ -13,13 +13,11 @@ from sexagesimal.tables import (
     PAIR_BAD,
     PAIR_OK,
     PARSE_ERROR,
-    DoublingTable,
     TableRow,
-    doubling_table_tsv,
     generate_doubling,
     generate_standard,
     parse_tsv,
-    standard_table_tsv,
+    table_tsv,
     verify_table,
 )
 
@@ -40,31 +38,31 @@ def smooth_235(limit: int) -> list[int]:
 class TestGenerateDoubling:
     def test_single_row(self):
         table = generate_doubling(10, 1)
-        assert table.rows == (TableRow(1, FloatingSex(10), SexNumber(6, -1)),)
+        assert table == (TableRow(1, FloatingSex(10), SexNumber(6, -1)),)
 
     def test_unit_seed(self):
         table = generate_doubling(1, 2)
-        assert [translit.format(r.value) for r in table.rows] == ["1", "2"]
-        assert [translit.format(r.reciprocal) for r in table.rows] == ["1", "0;30"]
+        assert [translit.format(r.value) for r in table] == ["1", "2"]
+        assert [translit.format(r.reciprocal) for r in table] == ["1", "0;30"]
 
     def test_full_table_matches_transcription(self, golden_text):
-        assert doubling_table_tsv(generate_doubling(10, 30)) == golden_text
+        assert table_tsv(generate_doubling(10, 30)) == golden_text
 
     def test_row_relations_hold_by_construction(self):
         table = generate_doubling(9, 12)
-        for prev, row in zip(table.rows, table.rows[1:]):
+        for prev, row in zip(table, table[1:]):
             assert row.value == prev.value.double()
             assert row.reciprocal == prev.reciprocal.halve()
             assert row.index == prev.index + 1
 
     def test_halving_chain_agrees_with_direct_reciprocals(self):
-        for row in generate_doubling(10, 30).rows:
+        for row in generate_doubling(10, 30):
             assert row.reciprocal.to_floating() == reciprocal(row.value)
 
     def test_anchor_exponent_moves_row_one(self):
         # seed 10 read as 10*60: its reciprocal is 0;0,6
         table = generate_doubling(10, 1, anchor_exponent=1)
-        assert translit.format(table.rows[0].reciprocal) == "0;0,6"
+        assert translit.format(table[0].reciprocal) == "0;0,6"
 
     def test_irregular_seed_rejected(self):
         with pytest.raises(IrregularError):
@@ -76,7 +74,7 @@ class TestGenerateDoubling:
 
     def test_generated_table_verifies_clean(self):
         table = generate_doubling(25, 40, anchor_exponent=-2)
-        rows = parse_tsv(doubling_table_tsv(table))
+        rows = parse_tsv(table_tsv(table))
         report = verify_table(rows, mode="doubling")
         assert report.ok
         assert not report.bad()
@@ -86,10 +84,11 @@ class TestGenerateStandard:
     def test_limit_8(self):
         pairs = generate_standard(8)
         assert [p.value.mantissa for p in pairs] == [2, 3, 4, 5, 6, 8]
-        assert pairs[0] == ReciprocalPair(FloatingSex(2), FloatingSex(30))
+        assert pairs[0] == TableRow(1, FloatingSex(2), FloatingSex(30))
+        assert [p.index for p in pairs] == [1, 2, 3, 4, 5, 6]
 
     def test_limit_2(self):
-        assert generate_standard(2) == (ReciprocalPair(FloatingSex(2), FloatingSex(30)),)
+        assert generate_standard(2) == (TableRow(1, FloatingSex(2), FloatingSex(30)),)
 
     def test_limit_81_has_the_four_place_entry(self):
         pairs = dict(
@@ -109,19 +108,23 @@ class TestGenerateStandard:
         # every 60-smooth integer appears once, reduced to its class
         assert values == [FloatingSex(n) for n in smooth_235(500)]
         assert len(pairs) == len(smooth_235(500))
+        assert [p.index for p in pairs] == list(range(1, len(pairs) + 1))
 
 
 class TestVerifyTable:
     def test_clean_table(self, golden_rows):
         report = verify_table(golden_rows, mode="doubling")
         assert report.ok
+        assert report.findings == ()
         assert report.count(PAIR_OK) == 30
         assert report.count(DOUBLING_OK) == 29
         assert report.count(HALVING_OK) == 29
 
     def test_single_row_has_no_adjacency_findings(self):
         report = verify_table([(1, "10", "0;6")], mode="doubling")
-        assert [f.kind for f in report.findings] == [PAIR_OK]
+        assert report.findings == ()
+        assert report.count(PAIR_OK) == 1
+        assert report.count(DOUBLING_OK) == 0
 
     def test_bad_pair(self):
         # 10 * 7 = 70, not a power of 60
@@ -132,7 +135,7 @@ class TestVerifyTable:
 
     def test_pairs_mode_skips_chain_checks(self):
         # a standard table is no doubling chain; pairs mode stays clean
-        rows = parse_tsv(standard_table_tsv(generate_standard(8)))
+        rows = parse_tsv(table_tsv(generate_standard(8)))
         assert verify_table(rows, mode="pairs").ok
         doubling = verify_table(rows, mode="doubling")
         assert not doubling.ok
@@ -147,7 +150,8 @@ class TestVerifyTable:
         assert (PAIR_BAD, 5) in kinds
         assert (DOUBLING_BAD, 5) in kinds
         assert (DOUBLING_BAD, 6) in kinds
-        assert (HALVING_OK, 5) in kinds
+        assert (HALVING_BAD, 5) not in kinds
+        assert report.count(HALVING_OK) == 29
 
     def test_unparseable_cell_reports_and_continues(self, golden_rows):
         rows = list(golden_rows)
@@ -176,11 +180,11 @@ class TestVerifyTable:
 
 class TestTsv:
     def test_file_shape(self):
-        text = doubling_table_tsv(generate_doubling(10, 2))
+        text = table_tsv(generate_doubling(10, 2))
         assert text == "1\t10\t0;6\n2\t20\t0;3\n"
 
     def test_standard_shape(self):
-        text = standard_table_tsv(generate_standard(3))
+        text = table_tsv(generate_standard(3))
         assert text == "1\t2\t30\n2\t3\t20\n"
 
     def test_round_trip(self, golden_text, golden_rows):
@@ -191,7 +195,18 @@ class TestTsv:
 
     @pytest.mark.parametrize(
         "text",
-        ["1\t10\n", "1\t10\t0;6\textra\n", "x\t10\t0;6\n", "\n1\t10\t0;6\n"],
+        [
+            "1\t10\n",
+            "1\t10\t0;6\textra\n",
+            "x\t10\t0;6\n",
+            "\n1\t10\t0;6\n",
+            # the index is a run of ASCII digits, nothing else int() accepts
+            "1_0\t10\t0;6\n",
+            " 1\t10\t0;6\n",
+            "+1\t10\t0;6\n",
+            "-1\t10\t0;6\n",
+            "\u0661\t10\t0;6\n",
+        ],
     )
     def test_structural_faults_raise(self, text):
         with pytest.raises(ValueError):
