@@ -10,6 +10,8 @@ print the raw TSV and nothing else.
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 from typing import Sequence
 
@@ -131,10 +133,47 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _emit(path: str | None, text: str) -> int:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+    elif os.path.exists(path) and not os.path.isfile(path):
+        # A directory, device or pipe: there is no file to swap, so open it as named.
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    else:
+        _replace(path, text)
     return EXIT_OK
+
+
+def _replace(path: str, text: str) -> None:
+    """Write text to a temporary file beside path, then rename it over path.
+
+    An interrupted write leaves the old file or none, never half a
+    table.  A symlink is followed, an existing file keeps its mode and
+    a new one gets the mode open() would give it.  Errors name path,
+    not the temporary file.
+    """
+    import tempfile  # only -o needs it; at the top every command would pay its import
+
+    target = os.path.realpath(path)
+    temporary = None
+    try:
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # reading the umask means setting it: put it straight back
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, temporary = tempfile.mkstemp(
+            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+        )
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.chmod(temporary, mode)
+        os.replace(temporary, target)
+    except BaseException as exc:
+        if temporary is not None:
+            os.unlink(temporary)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _cmd_table_double(args: argparse.Namespace) -> int:

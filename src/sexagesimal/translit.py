@@ -11,17 +11,39 @@ The semicolon separates the whole part from the fractional part, e.g.
 tolerated.  A string without a semicolon is ambiguous between an integer
 and a floating digit string; the parser records the tokens only and the
 caller picks a mode when converting, so nothing is ever guessed.
+
+Parsing has a fast path and a scanner.  Text with no space or tab is
+split at the semicolon and the commas, and each token is looked up in
+one table of the 60 digit spellings, which checks and converts it at
+once.  Any token the table lacks sends the whole text to the
+character scanner, the only code that finds the column of a fault, so
+errors, their messages and their positions come from one place.
+
+Long numbers convert by divide and conquer over the cached powers
+60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010, §1.7):
+``format`` splits a mantissa into halves, quarters, ... and finishes
+blocks of a few dozen digits with a short loop, and ``to_number``
+combines all digits pairwise, level by level, in one packed integer.
+Either way the Python-level work per digit no longer grows with the
+length; what does is a few big-integer operations per level, in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Literal, overload
 
 from .core import BASE, FloatingSex, SexNumber
 
 _WHITESPACE = " \t"
 _ASCII_DIGITS = "0123456789"
+_DIGIT_TEXT = tuple(str(d) for d in range(BASE))
+_DIGIT_VALUE = {text: d for d, text in enumerate(_DIGIT_TEXT)}
+_POWERS = [BASE]  # _POWERS[j] == 60**2**j, squared on demand
+_LEAF = 5  # format writes blocks of 2**_LEAF digits with a short loop
+_LEAF_DIGITS = range(1 << _LEAF)
+_SHORT = 128  # to_number folds this many digits or fewer one by one
 
 
 class ParseError(ValueError):
@@ -56,9 +78,9 @@ class Transliteration:
     def __post_init__(self) -> None:
         if not self.digits:
             raise ValueError("a numeral needs at least one digit")
-        for d in self.digits:
-            if not 0 <= d < BASE:
-                raise ValueError(f"digit {d} is out of range 0..59")
+        if min(self.digits) < 0 or max(self.digits) >= BASE:
+            bad = next(d for d in self.digits if not 0 <= d < BASE)
+            raise ValueError(f"digit {bad} is out of range 0..59")
         si = self.semicolon_index
         if si is not None and not 0 <= si <= len(self.digits):
             raise ValueError(f"semicolon index {si} is outside 0..{len(self.digits)}")
@@ -100,6 +122,25 @@ def _scan_digits(text: str, i: int, out: list[int]) -> int:
 
 def parse(text: str) -> Transliteration:
     """Tokenize one numeral, reporting the exact spot of any fault."""
+    if " " not in text and "\t" not in text:
+        whole, semicolon, fraction = text.partition(";")
+        if not semicolon:
+            tokens, semicolon_index = whole.split(","), None
+        else:
+            tokens = whole.split(",") if whole else []  # ";45" has no whole part
+            semicolon_index = len(tokens)
+            tokens += fraction.split(",")
+        try:
+            digits = tuple(map(_DIGIT_VALUE.__getitem__, tokens))
+        except KeyError:
+            pass  # a malformed token: the scanner finds and reports it
+        else:
+            return Transliteration(digits, semicolon_index, text)
+    return _scan(text)
+
+
+def _scan(text: str) -> Transliteration:
+    """Tokenize character by character; the fault positions come from here."""
     digits: list[int] = []
     semicolon_index: int | None = None
     i = _skip_whitespace(text, 0)
@@ -134,9 +175,7 @@ def to_number(t, mode):
     digit string stands for its whole equivalence class; an all-zero
     string has no floating value and raises ValueError.
     """
-    value = 0
-    for d in t.digits:
-        value = value * BASE + d
+    value = _value_of(t.digits)
     if mode == "floating":
         if value == 0:
             raise ValueError("an all-zero numeral has no floating value")
@@ -147,14 +186,66 @@ def to_number(t, mode):
     return SexNumber(value, si - len(t.digits))
 
 
+def _power(j: int) -> int:
+    """60**2**j, from the cache."""
+    while len(_POWERS) <= j:
+        _POWERS.append(_POWERS[-1] * _POWERS[-1])
+    return _POWERS[j]
+
+
+def _value_of(digits: tuple[int, ...]) -> int:
+    """The integer that base-60 digits spell, most significant first."""
+    if len(digits) <= _SHORT:
+        value = 0
+        for d in digits:
+            value = value * BASE + d
+        return value
+    # One digit per byte, then neighbouring fields merge level by level:
+    # at level j each field is 2**j bytes wide and holds 2**j digits, and
+    # every pair becomes high * 60**2**j + low at once.  60 < 256 keeps
+    # each merged value inside its doubled field.
+    levels = (len(digits) - 1).bit_length()
+    packed = int.from_bytes(bytes(digits), "big")
+    for j in range(levels):
+        width = 1 << j
+        low = int.from_bytes((b"\xff" * width + bytes(width)) * (1 << levels - j - 1), "little")
+        packed = (packed >> 8 * width & low) * _power(j) + (packed & low)
+    return packed
+
+
 def _digits_of(mantissa: int) -> list[int]:
-    """Base-60 digits of a positive integer, most significant first."""
-    out: list[int] = []
-    while mantissa:
-        mantissa, d = divmod(mantissa, BASE)
-        out.append(d)
+    """Base-60 digits of a positive integer, most significant first.
+
+    Blocks of 60**2**j are split off the top while they fit, each block
+    is halved level by level into blocks of 2**_LEAF digits, and a
+    short loop writes each of those out with its leading zeros; only the
+    head left at the top, below 60**2**(_LEAF + 1), goes unpadded.
+    """
+    head = mantissa
+    top = _LEAF
+    while _power(top + 1) <= head:
+        top += 1
+    out: list[int] = []  # least significant digit first
+    append = out.append
+    for j in range(top, _LEAF, -1):
+        if head >= _POWERS[j]:
+            head, block = divmod(head, _POWERS[j])
+            blocks = [block]
+            for i in range(j - 1, _LEAF - 1, -1):
+                blocks = list(chain.from_iterable(map(divmod, blocks, repeat(_POWERS[i]))))
+            for block in reversed(blocks):
+                for _ in _LEAF_DIGITS:
+                    block, d = divmod(block, BASE)
+                    append(d)
+    while head:
+        head, d = divmod(head, BASE)
+        append(d)
     out.reverse()
     return out
+
+
+def _joined(digits: list[int]) -> str:
+    return ",".join([_DIGIT_TEXT[d] for d in digits])
 
 
 def format(value: SexNumber | FloatingSex, style: str | None = None) -> str:
@@ -171,7 +262,7 @@ def format(value: SexNumber | FloatingSex, style: str | None = None) -> str:
     if style == "floating":
         if isinstance(value, SexNumber):
             value = value.to_floating()
-        return ",".join(str(d) for d in _digits_of(value.mantissa))
+        return _joined(_digits_of(value.mantissa))
     if style != "anchored":
         raise ValueError(f"unknown style {style!r}")
     if not isinstance(value, SexNumber):
@@ -180,10 +271,8 @@ def format(value: SexNumber | FloatingSex, style: str | None = None) -> str:
         return "0"
     digits = _digits_of(value.mantissa)
     if value.exponent >= 0:
-        return ",".join(str(d) for d in digits + [0] * value.exponent)
+        return _joined(digits) + ",0" * value.exponent
     point = len(digits) + value.exponent
     if point <= 0:
-        return "0;" + ",".join(str(d) for d in [0] * -point + digits)
-    whole = ",".join(str(d) for d in digits[:point])
-    frac = ",".join(str(d) for d in digits[point:])
-    return f"{whole};{frac}"
+        return "0;" + "0," * -point + _joined(digits)
+    return f"{_joined(digits[:point])};{_joined(digits[point:])}"

@@ -1,9 +1,15 @@
 """Black-box checks of the command-line surface and its exit codes."""
 
+import builtins
+import errno
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from sexagesimal import cli as cli_module
 
 SRC = str(Path(__file__).parent.parent / "src")
 
@@ -156,6 +162,61 @@ class TestTableCommands:
             "table", "standard", "--limit", "8", "-o", "/nonexistent-dir/out.tsv"
         )
         assert code == 3
+        assert err == "error: [Errno 2] No such file or directory: '/nonexistent-dir/out.tsv'\n"
+
+    @staticmethod
+    def break_writes_after_half(monkeypatch, error):
+        """Make every write through cli's open put down half its text, then raise error."""
+
+        class HalfWriter:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+            def write(self, text):
+                self.handle.write(text[: len(text) // 2])
+                self.handle.flush()
+                raise error
+
+        def half_open(*args, **kwargs):
+            return HalfWriter(builtins.open(*args, **kwargs))
+
+        monkeypatch.setattr(cli_module, "open", half_open, raising=False)
+
+    def test_failed_write_leaves_no_file(self, cli, tmp_path, monkeypatch):
+        self.break_writes_after_half(monkeypatch, OSError(errno.ENOSPC, "No space left on device"))
+        target = tmp_path / "table.tsv"
+        code, out, err = cli("table", "double", "--seed", "10", "--rows", "30", "-o", str(target))
+        assert (code, out) == (3, "")
+        assert err == "error: [Errno 28] No space left on device\n"
+        assert list(tmp_path.iterdir()) == []  # neither the table nor a temporary file
+
+    def test_interrupted_write_keeps_the_old_table(self, cli, tmp_path, monkeypatch):
+        target = tmp_path / "table.tsv"
+        target.write_text("old\n")
+        self.break_writes_after_half(monkeypatch, KeyboardInterrupt())
+        with pytest.raises(KeyboardInterrupt):
+            cli("table", "double", "--seed", "10", "--rows", "30", "-o", str(target))
+        assert list(tmp_path.iterdir()) == [target]
+        assert target.read_text() == "old\n"
+
+    def test_output_replaces_a_file_and_keeps_its_mode(self, cli, tmp_path, golden_text):
+        target = tmp_path / "table.tsv"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.tsv"
+        link.symlink_to(target.name)
+        code, _, _ = cli("table", "double", "--seed", "10", "--rows", "30", "-o", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert target.read_text() == golden_text
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tsv", "table.tsv"]
 
 
 class TestVerifyCommand:

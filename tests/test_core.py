@@ -1,12 +1,13 @@
 """Canonical base-60 values: worked examples plus algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sexagesimal.core import BASE, ONE, ZERO, FloatingSex, SexNumber, multiply
+from sexagesimal.core import BASE, ONE, ZERO, FloatingSex, SexNumber, _remove_factor, multiply
 
 
 def rational(x: SexNumber) -> Fraction:
@@ -230,3 +231,38 @@ class TestFloatingRoundTrip:
     @given(nonzero_sex_numbers)
     def test_round_trip(self, x):
         assert x.to_floating().anchor(x.exponent) == x
+
+
+def remove_factor_oracle(n: int, p: int) -> tuple[int, int]:
+    # One division per factor: the loop that the squaring kernel replaced.
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return n, k
+
+
+class TestRemoveFactor:
+    # k around every power of two up to 4096 (where the squaring and the
+    # greedy descent change course), and up to 5000.
+    EXPONENTS = sorted({0, 1, 2, 3, 5000} | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)})
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 60])
+    def test_matches_the_naive_loop(self, p):
+        rng = random.Random(p)
+        for k in self.EXPONENTS:
+            r = rng.randrange(1, 10**40)
+            r += r % p == 0  # not a multiple of p, so the valuation is exactly k
+            n = p**k * r
+            assert _remove_factor(n, p) == remove_factor_oracle(n, p) == (r, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 30, 7 * 2**20, 59])
+    def test_sixty_beside_its_own_prime_factors(self, r):
+        # For p = 60 the cofactor may share 2, 3 or 5 with p and still not be divisible by it.
+        for k in (0, 1, 31, 32, 33, 1000):
+            assert _remove_factor(60**k * r, 60) == (r, k)
+
+    @given(st.integers(0, 300), st.integers(1, 10**30), st.sampled_from([2, 3, 5, 7, 60]))
+    def test_any_cofactor(self, k, r, p):
+        n = p**k * r
+        assert _remove_factor(n, p) == remove_factor_oracle(n, p)

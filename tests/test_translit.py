@@ -1,7 +1,9 @@
 """Notation parsing and formatting, including the rejection contract."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sexagesimal import translit
@@ -98,8 +100,9 @@ class TestTransliterationType:
         Transliteration((0, 6), 1, "0;6")
         with pytest.raises(ValueError):
             Transliteration((), None, "")
-        with pytest.raises(ValueError):
-            Transliteration((61,), None, "61")
+        for bad in (60, 61, -1):
+            with pytest.raises(ValueError, match=f"digit {bad} is out of range"):
+                Transliteration((7, bad), None, "raw")
         with pytest.raises(ValueError):
             Transliteration((0, 5), None, "0,5")
         with pytest.raises(ValueError):
@@ -178,3 +181,113 @@ class TestRoundTrip:
             assert translit.format(value) == value_text
             rec = to_number(parse(reciprocal_text), "absolute")
             assert translit.format(rec) == reciprocal_text
+
+
+def outcome(parser, text):
+    """What a parser makes of text: the numeral, or the error's type, message and column."""
+    try:
+        return parser(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# Random numerals: tokens good and bad, joined by commas, maybe with a semicolon.
+numeral_texts = st.builds(
+    lambda tokens, cut: ",".join(tokens[:cut]) + (";" + ",".join(tokens[cut:]) if cut else ""),
+    st.lists(
+        st.sampled_from(["0", "1", "9", "10", "45", "59", "60", "05", "00", "", " 7", "x", "١"]),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(0, 8),
+)
+
+
+class TestLookupAgreesWithScanner:
+    """parse's token lookup against the character scanner, which stays the oracle."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["05", "60", "0,5", ";0,45", "0;6", "1;2;3", ",5", ";", "", "  0,5",
+         "10,12;45", "0", "59,0", "1;", "1,,2", "١", "x", "-5", "1;2,60", "7;05"],
+    )
+    def test_explicit_cases(self, text):
+        assert outcome(parse, text) == outcome(translit._scan, text)
+
+    @given(st.text(alphabet="0123456789,; \t١x-", max_size=40))
+    def test_any_text(self, text):
+        assert outcome(parse, text) == outcome(translit._scan, text)
+
+    @given(numeral_texts)
+    def test_near_numerals(self, text):
+        assert outcome(parse, text) == outcome(translit._scan, text)
+
+
+def digits_oracle(mantissa):
+    # One division by 60 per digit: the loop that divide and conquer replaced.
+    out = []
+    while mantissa:
+        mantissa, d = divmod(mantissa, 60)
+        out.append(d)
+    return out[::-1]
+
+
+def format_oracle(value):
+    # The anchored formatter written digit by digit, from the oracle's digits.
+    if value.mantissa == 0:
+        return "0"
+    digits = digits_oracle(value.mantissa)
+    if value.exponent >= 0:
+        return ",".join(str(d) for d in digits + [0] * value.exponent)
+    point = len(digits) + value.exponent
+    if point <= 0:
+        return "0;" + ",".join(str(d) for d in [0] * -point + digits)
+    return ",".join(map(str, digits[:point])) + ";" + ",".join(map(str, digits[point:]))
+
+
+class TestLongNumbers:
+    """Divide-and-conquer conversion at the edges of its blocks."""
+
+    @pytest.mark.parametrize("k", [7, 8, 9, 15, 16, 17, 31, 32, 33, 1024])
+    def test_around_powers_of_60(self, k):
+        for m in (60**k - 1, 60**k, 60**k + 1):
+            digits = translit._digits_of(m)
+            assert digits == digits_oracle(m)
+            assert translit._value_of(tuple(digits)) == m
+            for value in (FloatingSex(m), SexNumber(m), SexNumber(m, -k)):
+                text = translit.format(value)
+                reading = "floating" if isinstance(value, FloatingSex) else "absolute"
+                assert to_number(parse(text), reading) == value
+            assert translit.format(SexNumber(m, -k)) == format_oracle(SexNumber(m, -k))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 100_000), st.randoms(use_true_random=False))
+    def test_random_mantissas(self, bits, rng):
+        self.check_random_mantissa(bits, rng)
+
+    @pytest.mark.parametrize("bits", [5_000, 30_000, 100_000])
+    def test_long_random_mantissas(self, bits):
+        self.check_random_mantissa(bits, random.Random(bits))
+
+    @staticmethod
+    def check_random_mantissa(bits, rng):
+        m = rng.getrandbits(bits) | 1 << (bits - 1)
+        digits = translit._digits_of(m)
+        assert digits == digits_oracle(m)
+        assert translit._value_of(tuple(digits)) == m
+        value = FloatingSex(m)
+        assert to_number(parse(translit.format(value)), "floating") == value
+
+    @pytest.mark.parametrize("size", [1, 64, 65, 129, 1000])
+    def test_point_inside_before_and_after_the_digits(self, size):
+        m = 60 ** (size - 1) + 7  # size digits, the last one not zero
+        for exponent in (-size - 3, -size - 1, -size, -size + 1, -1, 0, 1, 4):
+            value = SexNumber(m, exponent)
+            text = translit.format(value)
+            assert text == format_oracle(value)
+            assert to_number(parse(text), "absolute") == value
+
+    def test_leading_zeros_inside_a_block(self):
+        # The low block of 60**64 + 5 is all zeros but its last digit.
+        m = 60**64 + 5
+        assert translit.format(FloatingSex(m)) == "1," + "0," * 63 + "5"
