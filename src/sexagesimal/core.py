@@ -4,13 +4,14 @@ Every value is the non-negative rational ``mantissa * 60**exponent``.
 Keeping the mantissa free of factors of 60 gives exactly one
 representation per value, so equality is field-wise, hashing is free,
 and all arithmetic reduces to ordinary integer arithmetic.  Nothing here
-rounds: results are exact or they raise.
+rounds: results are exact or they raise.  Values are immutable
+``__slots__`` objects whose constructors check and normalize; the
+trusted ``_canonical`` skips that, and only code that has proven the
+fields canonical calls it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 
 BASE = 60
@@ -50,9 +51,35 @@ def _remove_factor(n: int, p: int) -> tuple[int, int]:
     return n, k
 
 
+class _Value:
+    """Immutable fields in ``__slots__``, compared, hashed and printed field by field."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copies and unpickling go through the checking __init__
+        return type(self), self._fields()
+
+    def _frozen(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+
 @total_ordering
-@dataclass(frozen=True)
-class SexNumber:
+class SexNumber(_Value):
     """A non-negative base-60 value with a definite place value.
 
     Instances normalize themselves on construction: the stored mantissa
@@ -60,25 +87,33 @@ class SexNumber:
     mantissas are rejected; the domain has no negative numbers.
     """
 
-    mantissa: int
-    exponent: int = 0
+    __slots__ = ("mantissa", "exponent")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mantissa: int, exponent: int = 0) -> None:
         # Exact type, not isinstance: bool is an int subclass, and a float
         # equal to an int would carry float arithmetic into every result.
-        if type(self.mantissa) is not int or type(self.exponent) is not int:
+        if type(mantissa) is not int or type(exponent) is not int:
             raise TypeError(
                 "mantissa and exponent must be int, got"
-                f" {type(self.mantissa).__name__} and {type(self.exponent).__name__}"
+                f" {type(mantissa).__name__} and {type(exponent).__name__}"
             )
-        if self.mantissa < 0:
-            raise ValueError(f"mantissa must be non-negative, got {self.mantissa}")
-        if self.mantissa == 0:
-            object.__setattr__(self, "exponent", 0)
-            return
-        m, k = _remove_factor(self.mantissa, BASE)
-        object.__setattr__(self, "mantissa", m)
-        object.__setattr__(self, "exponent", self.exponent + k)
+        if mantissa < 0:
+            raise ValueError(f"mantissa must be non-negative, got {mantissa}")
+        if mantissa == 0:
+            exponent = 0
+        else:
+            mantissa, k = _remove_factor(mantissa, BASE)
+            exponent += k
+        _set_mantissa(self, mantissa)
+        _set_exponent(self, exponent)
+
+    @staticmethod
+    def _canonical(mantissa: int, exponent: int) -> "SexNumber":
+        """Trusted: int fields, the mantissa positive and not divisible by 60."""
+        self = object.__new__(SexNumber)
+        _set_mantissa(self, mantissa)
+        _set_exponent(self, exponent)
+        return self
 
     def __bool__(self) -> bool:
         return self.mantissa != 0
@@ -104,25 +139,24 @@ class SexNumber:
         e = min(self.exponent, other.exponent)
         return self._at_exponent(e) < other._at_exponent(e)
 
+    # 2m is a multiple of 60 only when m is one of 30, and 30m only when m is even.
     def double(self) -> "SexNumber":
-        return SexNumber(self.mantissa * 2, self.exponent)
+        make = SexNumber._canonical if self.mantissa % 30 else SexNumber
+        return make(self.mantissa * 2, self.exponent)
 
     def halve(self) -> "SexNumber":
         # Halving is exact: 1/2 is the regular value 30 * 60**-1.
-        return SexNumber(self.mantissa * 30, self.exponent - 1)
+        make = SexNumber._canonical if self.mantissa & 1 else SexNumber
+        return make(self.mantissa * 30, self.exponent - 1)
 
     def to_floating(self) -> "FloatingSex":
         """Drop the place value.  Zero has no floating form and raises."""
         if self.mantissa == 0:
             raise ValueError("zero has no floating form")
-        return FloatingSex(self.mantissa)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.mantissa) * Fraction(BASE) ** self.exponent
+        return FloatingSex._canonical(self.mantissa)
 
 
-@dataclass(frozen=True)
-class FloatingSex:
+class FloatingSex(_Value):
     """A bare digit string: an equivalence class under powers of 60.
 
     This is the convention of the clay tablets, which wrote reciprocal
@@ -132,25 +166,38 @@ class FloatingSex:
     no floating zero was ever written, and zero divides nothing.
     """
 
-    mantissa: int
+    __slots__ = ("mantissa",)
 
-    def __post_init__(self) -> None:
-        if type(self.mantissa) is not int:
-            raise TypeError(f"floating mantissa must be int, got {type(self.mantissa).__name__}")
-        if self.mantissa <= 0:
-            raise ValueError(f"floating mantissa must be positive, got {self.mantissa}")
-        object.__setattr__(self, "mantissa", _remove_factor(self.mantissa, BASE)[0])
+    def __init__(self, mantissa: int) -> None:
+        if type(mantissa) is not int:
+            raise TypeError(f"floating mantissa must be int, got {type(mantissa).__name__}")
+        if mantissa <= 0:
+            raise ValueError(f"floating mantissa must be positive, got {mantissa}")
+        _set_floating(self, _remove_factor(mantissa, BASE)[0])
+
+    @staticmethod
+    def _canonical(mantissa: int) -> "FloatingSex":
+        """Trusted: an int mantissa, positive and not divisible by 60."""
+        self = object.__new__(FloatingSex)
+        _set_floating(self, mantissa)
+        return self
 
     def double(self) -> "FloatingSex":
-        return FloatingSex(self.mantissa * 2)
+        return (FloatingSex._canonical if self.mantissa % 30 else FloatingSex)(self.mantissa * 2)
 
     def halve(self) -> "FloatingSex":
         # Dividing by 2 multiplies the class representative by 30.
-        return FloatingSex(self.mantissa * 30)
+        return (FloatingSex._canonical if self.mantissa & 1 else FloatingSex)(self.mantissa * 30)
 
     def anchor(self, exponent: int) -> SexNumber:
         """Reattach a place value: the result is mantissa * 60**exponent."""
         return SexNumber(self.mantissa, exponent)
+
+
+# The slot descriptors' own setters, which the frozen __setattr__ leaves open.
+_set_mantissa = SexNumber.mantissa.__set__
+_set_exponent = SexNumber.exponent.__set__
+_set_floating = FloatingSex.mantissa.__set__
 
 
 ZERO = SexNumber(0)

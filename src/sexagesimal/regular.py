@@ -9,8 +9,8 @@ exact linear solve instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .core import BASE, FloatingSex, SexNumber, _remove_factor
 
@@ -47,8 +47,7 @@ class NoFiniteSolutionError(ArithmeticError):
         self.residue = residue
 
 
-@dataclass(frozen=True)
-class Factorization235:
+class Factorization235(NamedTuple):
     """n split as 2**two * 3**three * 5**five * residue.
 
     The residue is coprime to 30; n is regular exactly when it is 1.
@@ -80,14 +79,18 @@ def is_regular(x: FloatingSex | int) -> bool:
     return factor235(mantissa).is_regular
 
 
+def _reciprocal_power(q: int, two: int, three: int, five: int) -> tuple[int, int]:
+    """(k, 60**k // q) for the least k with q == 2**two * 3**three * 5**five dividing 60**k."""
+    k = max((two + 1) // 2, three, five)  # 60**k carries 2**(2k), 3**k and 5**k
+    return k, BASE**k // q
+
+
 def _reciprocal_of(q: int, error: type[ArithmeticError]) -> tuple[int, int]:
     """(k, 60**k // q) for the least k with q dividing 60**k; else raise error(q, residue)."""
     f = factor235(q)
     if not f.is_regular:
         raise error(q, f.residue)
-    # 60**k carries 2**(2k), 3**k and 5**k.
-    k = max((f.two + 1) // 2, f.three, f.five)
-    return k, BASE**k // q
+    return _reciprocal_power(q, f.two, f.three, f.five)
 
 
 def reciprocal(x: FloatingSex | int) -> FloatingSex:
@@ -128,21 +131,26 @@ def solve_linear(a: SexNumber, b: SexNumber) -> SexNumber:
 
 
 def is_reciprocal_pair(x: FloatingSex, y: FloatingSex) -> bool:
-    """True when the floating product of the two values is 1."""
-    return _remove_factor(x.mantissa * y.mantissa, BASE)[0] == 1
+    """True when the floating product of the two values is 1: it is 60**k == 2**(2k) * 15**k."""
+    odd, two = _remove_factor(x.mantissa * y.mantissa, 2)
+    return not two & 1 and odd == 15 ** (two >> 1)
+
+
+def _odd_regulars(limit: int) -> dict[int, tuple[int, int]]:
+    """{3**b * 5**c: (b, c)} for every such product up to limit."""
+    found = {}
+    p5, five = 1, 0
+    while p5 <= limit:
+        p35, three = p5, 0
+        while p35 <= limit:
+            found[p35] = (three, five)
+            p35, three = p35 * 3, three + 1
+        p5, five = p5 * 5, five + 1
+    return found
 
 
 def regular_numbers(limit: int) -> list[int]:
     """All regular integers in [2, limit], ascending."""
-    found: list[int] = []
-    p5 = 1
-    while p5 <= limit:
-        p35 = p5
-        while p35 <= limit:
-            p = p35
-            while p <= limit:
-                found.append(p)
-                p *= 2
-            p35 *= 3
-        p5 *= 5
-    return sorted(n for n in found if n >= 2)
+    # p * 2**a <= limit for the (limit // p).bit_length() choices of a; [1:] drops 1.
+    odd = _odd_regulars(limit)
+    return sorted(p << a for p in odd for a in range((limit // p).bit_length()))[1:]

@@ -3,10 +3,11 @@
 A doubling table starts from a regular seed and repeatedly doubles it
 while halving its reciprocal; both walks are exact, so every row stays a
 reciprocal pair.  This is how scribes extended their reciprocal lists
-cheaply.  Both generators return numbered ``TableRow``s.  The verifier
-goes the other way: given a transcribed table, it checks the relations
-structurally, counts the ones that hold and reports findings for the
-ones that do not, without ever correcting an entry.
+cheaply.  Both generators return numbered ``TableRow``s; a standard
+table is built from each number's exponents, never by factoring.  The
+verifier goes the other way: given a transcribed table, it checks the
+relations structurally, counts the ones that hold and reports findings
+for the ones that do not, without ever correcting an entry.
 
 Table file format (bit-exact): UTF-8, one row per line, three
 TAB-separated fields ``index<TAB>value<TAB>reciprocal``, LF endings,
@@ -16,12 +17,11 @@ no header.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import translit
-from .core import FloatingSex, SexNumber
-from .regular import invert, is_reciprocal_pair, reciprocal, regular_numbers
+from .core import BASE, FloatingSex, SexNumber
+from .regular import _odd_regulars, _reciprocal_power, invert, is_reciprocal_pair, regular_numbers
 
 PAIR_OK = "PAIR_OK"
 PAIR_BAD = "PAIR_BAD"
@@ -32,8 +32,7 @@ HALVING_BAD = "HALVING_BAD"
 PARSE_ERROR = "PARSE_ERROR"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One table line: a floating value and its anchored or floating reciprocal."""
 
     index: int
@@ -76,25 +75,28 @@ def generate_standard(limit: int) -> tuple[TableRow, ...]:
     """
     if limit < 2:
         raise ValueError(f"limit must be at least 2, got {limit}")
+    odd_exponents = _odd_regulars(limit)
     rows = []
     for index, n in enumerate(regular_numbers(limit), start=1):
-        value = FloatingSex(n)
-        rec = reciprocal(value)
+        two = (n & -n).bit_length() - 1  # the lowest set bit
+        three, five = odd_exponents[n >> two]
+        k = min(two >> 1, three, five)  # the factors of 60 in n
+        m = n // BASE**k if k else n
+        r = _reciprocal_power(m, two - 2 * k, three - k, five - k)[1]
+        value, rec = FloatingSex._canonical(m), FloatingSex._canonical(r)
         if not is_reciprocal_pair(value, rec):
             raise ValueError(f"{value.mantissa} and {rec.mantissa} are not a reciprocal pair")
         rows.append(TableRow(index, value, rec))
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     kind: str
     row_index: int
     message: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """The bad findings, and a count per kind; OK relations are only counted."""
 
     findings: tuple[Finding, ...]

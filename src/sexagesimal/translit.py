@@ -30,19 +30,19 @@ length; what does is a few big-integer operations per level, in C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Literal, overload
 
-from .core import BASE, FloatingSex, SexNumber
+from .core import BASE, FloatingSex, SexNumber, _Value
 
 _WHITESPACE = " \t"
 _ASCII_DIGITS = "0123456789"
 _DIGIT_TEXT = tuple(str(d) for d in range(BASE))
 _DIGIT_VALUE = {text: d for d, text in enumerate(_DIGIT_TEXT)}
-_POWERS = [BASE]  # _POWERS[j] == 60**2**j, squared on demand
 _LEAF = 5  # format writes blocks of 2**_LEAF digits with a short loop
 _LEAF_DIGITS = range(1 << _LEAF)
+_POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squared on demand
+_MASKS: dict[int, list[int]] = {}  # levels -> to_number's field mask at each level
 _SHORT = 128  # to_number folds this many digits or fewer one by one
 
 
@@ -62,8 +62,7 @@ class DigitRangeError(ParseError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class Transliteration:
+class Transliteration(_Value):
     """One tokenized numeral.
 
     ``semicolon_index`` counts the digits written before the semicolon;
@@ -71,24 +70,38 @@ class Transliteration:
     spelling.
     """
 
-    digits: tuple[int, ...]
-    semicolon_index: int | None
-    raw: str
+    __slots__ = ("digits", "semicolon_index", "raw")
 
-    def __post_init__(self) -> None:
-        if not self.digits:
+    def __init__(self, digits: tuple[int, ...], semicolon_index: int | None, raw: str) -> None:
+        if not digits:
             raise ValueError("a numeral needs at least one digit")
-        if min(self.digits) < 0 or max(self.digits) >= BASE:
-            bad = next(d for d in self.digits if not 0 <= d < BASE)
+        if min(digits) < 0 or max(digits) >= BASE:
+            bad = next(d for d in digits if not 0 <= d < BASE)
             raise ValueError(f"digit {bad} is out of range 0..59")
-        si = self.semicolon_index
-        if si is not None and not 0 <= si <= len(self.digits):
-            raise ValueError(f"semicolon index {si} is outside 0..{len(self.digits)}")
+        if semicolon_index is not None and not 0 <= semicolon_index <= len(digits):
+            raise ValueError(f"semicolon index {semicolon_index} is outside 0..{len(digits)}")
         # A zero may lead only where it carries meaning: as the whole
         # part before a semicolon ("0;6"), as the first fractional digit
         # of a headless fraction (";0,45"), or as the lone digit 0.
-        if self.digits[0] == 0 and len(self.digits) > 1 and si not in (0, 1):
-            raise ParseError("leading zero digit is not positional", _skip_whitespace(self.raw, 0))
+        if digits[0] == 0 and len(digits) > 1 and semicolon_index not in (0, 1):
+            raise ParseError("leading zero digit is not positional", _skip_whitespace(raw, 0))
+        _set_digits(self, digits)
+        _set_semicolon_index(self, semicolon_index)
+        _set_raw(self, raw)
+
+    @staticmethod
+    def _canonical(digits, semicolon_index, raw) -> "Transliteration":
+        """Trusted: what __init__ would accept, as parse's lookup path produces it."""
+        self = object.__new__(Transliteration)
+        _set_digits(self, digits)
+        _set_semicolon_index(self, semicolon_index)
+        _set_raw(self, raw)
+        return self
+
+
+_set_digits = Transliteration.digits.__set__
+_set_semicolon_index = Transliteration.semicolon_index.__set__
+_set_raw = Transliteration.raw.__set__
 
 
 def _skip_whitespace(text: str, i: int) -> int:
@@ -135,6 +148,10 @@ def parse(text: str) -> Transliteration:
         except KeyError:
             pass  # a malformed token: the scanner finds and reports it
         else:
+            # Every digit is one of the 60 spellings and the semicolon sits
+            # between tokens, so only a leading zero needs the checks.
+            if digits[0] or semicolon_index == 1:
+                return Transliteration._canonical(digits, semicolon_index, text)
             return Transliteration(digits, semicolon_index, text)
     return _scan(text)
 
@@ -176,14 +193,15 @@ def to_number(t, mode):
     string has no floating value and raises ValueError.
     """
     value = _value_of(t.digits)
+    # A last digit other than 0 makes the value positive and not a multiple of 60.
     if mode == "floating":
         if value == 0:
             raise ValueError("an all-zero numeral has no floating value")
-        return FloatingSex(value)
+        return FloatingSex._canonical(value) if t.digits[-1] else FloatingSex(value)
     if mode != "absolute":
         raise ValueError(f"unknown mode {mode!r}")
-    si = len(t.digits) if t.semicolon_index is None else t.semicolon_index
-    return SexNumber(value, si - len(t.digits))
+    exponent = 0 if t.semicolon_index is None else t.semicolon_index - len(t.digits)
+    return SexNumber._canonical(value, exponent) if t.digits[-1] else SexNumber(value, exponent)
 
 
 def _power(j: int) -> int:
@@ -205,11 +223,15 @@ def _value_of(digits: tuple[int, ...]) -> int:
     # every pair becomes high * 60**2**j + low at once.  60 < 256 keeps
     # each merged value inside its doubled field.
     levels = (len(digits) - 1).bit_length()
+    masks = _MASKS.get(levels)
+    if masks is None:  # masks[j] keeps the low 2**j of every 2**(j+1) bytes
+        masks = _MASKS[levels] = [
+            int.from_bytes((b"\xff" * (1 << j) + bytes(1 << j)) * (1 << levels - j - 1), "little")
+            for j in range(levels)
+        ]
     packed = int.from_bytes(bytes(digits), "big")
-    for j in range(levels):
-        width = 1 << j
-        low = int.from_bytes((b"\xff" * width + bytes(width)) * (1 << levels - j - 1), "little")
-        packed = (packed >> 8 * width & low) * _power(j) + (packed & low)
+    for j, low in enumerate(masks):
+        packed = (packed >> (8 << j) & low) * _power(j) + (packed & low)
     return packed
 
 
@@ -223,7 +245,7 @@ def _digits_of(mantissa: int) -> list[int]:
     """
     head = mantissa
     top = _LEAF
-    while _power(top + 1) <= head:
+    while head >= _POWERS[_LEAF + 1] and _power(top + 1) <= head:  # below 60**64, no split
         top += 1
     out: list[int] = []  # least significant digit first
     append = out.append

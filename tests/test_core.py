@@ -1,5 +1,7 @@
 """Canonical base-60 values: worked examples plus algebraic laws."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sexagesimal.core import BASE, ONE, ZERO, FloatingSex, SexNumber, _remove_factor, multiply
+from sexagesimal.translit import Transliteration
 
 
 def rational(x: SexNumber) -> Fraction:
@@ -83,6 +86,108 @@ class TestNormalize:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             SexNumber(5).mantissa = 6
+
+
+VALUES = [
+    SexNumber(36765, -1),
+    ZERO,
+    FloatingSex(160000),
+    Transliteration((10, 12, 45), 2, "10,12;45"),
+    Transliteration((0, 45), 0, ";0,45"),
+]
+value_ids = [repr(v) for v in VALUES]
+
+
+class TestValueObjects:
+    """Immutable, copyable value objects with field-wise equality, hash and repr."""
+
+    @pytest.mark.parametrize("value", VALUES, ids=value_ids)
+    def test_frozen(self, value):
+        for name in value.__slots__:
+            before = getattr(value, name)
+            with pytest.raises(AttributeError):
+                setattr(value, name, before)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) == before
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("value", VALUES, ids=value_ids)
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy]
+        + [lambda v, p=p: pickle.loads(pickle.dumps(v, protocol=p)) for p in range(6)],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(6)],
+    )
+    def test_copy_and_pickle_round_trip(self, value, duplicate):
+        twin = duplicate(value)
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+        assert repr(twin) == repr(value)
+        assert all(getattr(twin, n) == getattr(value, n) for n in value.__slots__)
+
+    def test_copies_go_through_the_checking_constructor(self):
+        # Not the trusted one, so a pickle cannot smuggle in a non-canonical value.
+        assert SexNumber(3600).__reduce__() == (SexNumber, (1, 2))
+        numeral = Transliteration((0, 6), 1, "0;6")
+        assert numeral.__reduce__() == (Transliteration, ((0, 6), 1, "0;6"))
+
+    def test_repr_equality_and_hash_are_field_wise(self):
+        assert repr(SexNumber(6, -1)) == "SexNumber(mantissa=6, exponent=-1)"
+        assert repr(FloatingSex(10)) == "FloatingSex(mantissa=10)"
+        assert repr(Transliteration((0, 6), 1, "0;6")) == (
+            "Transliteration(digits=(0, 6), semicolon_index=1, raw='0;6')"
+        )
+        assert hash(SexNumber(6, -1)) == hash((6, -1))
+        assert hash(FloatingSex(10)) == hash((10,))
+        # Different kinds never compare equal, even with the same fields.
+        assert SexNumber(10) != FloatingSex(10)
+        assert FloatingSex(10) != SexNumber(10)
+        assert SexNumber(1) != (1, 0)
+        with pytest.raises(TypeError):
+            FloatingSex(1) < FloatingSex(2)
+
+
+def same_fields(a, b):
+    fields = lambda x: [(type(getattr(x, n)), getattr(x, n)) for n in x.__slots__]
+    return type(a) is type(b) and fields(a) == fields(b)
+
+
+# Mantissas around the cases the trusted paths split on: multiples of 30
+# and of 60, odd and even ones, and zero.
+EDGE_MANTISSAS = [0, 1, 2, 15, 29, 30, 31, 45, 59, 60, 61, 90, 120, 900, 1800, 3600,
+                  7 * 60**5, 30 * 60**9 + 30, 2**100, 3**80, 60**40 - 1]
+
+
+class TestTrustedPathsAgreeWithTheChecks:
+    """Each shortcut against the checking constructor call it replaced."""
+
+    @pytest.mark.parametrize("m", EDGE_MANTISSAS)
+    def test_edge_mantissas(self, m):
+        self.check(m, -3)
+
+    @given(st.integers(0, BASE**12), st.integers(-20, 20))
+    def test_any_mantissa(self, m, e):
+        self.check(m, e)
+
+    @given(st.integers(0, BASE**6), st.integers(0, 6), st.integers(-20, 20))
+    def test_multiples_of_30_and_60(self, m, k, e):
+        self.check(m * 30**k, e)
+        self.check(m * 60**k, e)
+
+    @staticmethod
+    def check(m, e):
+        x = SexNumber(m, e)
+        assert same_fields(x.double(), SexNumber(x.mantissa * 2, x.exponent))
+        assert same_fields(x.halve(), SexNumber(x.mantissa * 30, x.exponent - 1))
+        if m:
+            f = FloatingSex(m)
+            assert same_fields(f.double(), FloatingSex(f.mantissa * 2))
+            assert same_fields(f.halve(), FloatingSex(f.mantissa * 30))
+            assert same_fields(x.to_floating(), FloatingSex(x.mantissa))
 
 
 class TestFloatingSex:

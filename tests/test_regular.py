@@ -1,12 +1,13 @@
 """Regularity detection, reciprocals, and the exact linear solver."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sexagesimal.core import ONE, ZERO, FloatingSex, SexNumber, multiply
+from sexagesimal.core import ONE, ZERO, FloatingSex, SexNumber, _remove_factor, multiply
 from sexagesimal.regular import (
     Factorization235,
     IrregularError,
@@ -230,3 +231,49 @@ class TestPairHelpers:
     def test_pair_relation(self):
         assert is_reciprocal_pair(FloatingSex(10), FloatingSex(6))
         assert not is_reciprocal_pair(FloatingSex(10), FloatingSex(7))
+
+
+def old_is_reciprocal_pair(x: FloatingSex, y: FloatingSex) -> bool:
+    # The check before it read 60**k as 2**(2k) * 15**k.
+    return _remove_factor(x.mantissa * y.mantissa, 60)[0] == 1
+
+
+class TestPairCheckAgreesWithTheOldKernel:
+    # Ways to split a product into two canonical mantissas (neither a
+    # multiple of 60): exact powers of 60, one factor of 2 or 15 too many
+    # or too few, and a stray prime.
+    SPLITS = [
+        lambda k: (4**k, 15**k),
+        lambda k: (2**k * 3**k, 2**k * 5**k),
+        lambda k: (2 ** (2 * k + 1), 15**k),
+        lambda k: (4**k * 7, 15**k),
+        lambda k: (4**k, 15**k * 7),
+        lambda k: (4 ** (k + 1), 15**k),
+        lambda k: (4**k, 15 ** (k + 1)),
+        lambda k: (2 ** (2 * k), 3**k * 5 ** (k + 1)),
+        lambda k: (2 ** (2 * k), 3 ** (k + 1) * 5**k),
+        lambda k: (2 ** (4 * k + 2), 225**k * 15),
+    ]
+
+    @pytest.mark.parametrize("split", range(len(SPLITS)))
+    def test_structured_products(self, split):
+        for k in [*range(0, 70), 127, 128, 129, 1000]:
+            x, y = map(FloatingSex, self.SPLITS[split](k))
+            assert is_reciprocal_pair(x, y) == old_is_reciprocal_pair(x, y)
+            assert is_reciprocal_pair(y, x) == old_is_reciprocal_pair(x, y)
+
+    def test_random_pairs(self):
+        rng = random.Random(60)
+        for _ in range(2000):
+            a, b, c = (rng.randrange(40) for _ in range(3))
+            x = FloatingSex(2**a * 3**b * 5**c)
+            y = reciprocal(x) if rng.random() < 0.5 else FloatingSex(rng.randrange(1, 10**30))
+            if rng.random() < 0.2:
+                y = FloatingSex(y.mantissa * rng.choice([2, 3, 4, 5, 7, 15, 30]))
+            assert is_reciprocal_pair(x, y) == old_is_reciprocal_pair(x, y)
+
+    @given(smooth_exponents, smooth_exponents, st.integers(1, 100))
+    def test_any_smooth_pair(self, abc, def_, cofactor):
+        x = FloatingSex(2 ** abc[0] * 3 ** abc[1] * 5 ** abc[2])
+        y = FloatingSex(2 ** def_[0] * 3 ** def_[1] * 5 ** def_[2] * cofactor)
+        assert is_reciprocal_pair(x, y) == old_is_reciprocal_pair(x, y)

@@ -1,6 +1,10 @@
 """Table generation and structural verification."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sexagesimal import translit
 from sexagesimal.core import FloatingSex, SexNumber
@@ -33,6 +37,34 @@ def smooth_235(limit: int) -> list[int]:
         if m == 1:
             out.append(n)
     return out
+
+
+def old_generate_standard(limit):
+    # Every regular number from a triple loop, then each value and its
+    # reciprocal through the checking constructor and the factoring path.
+    found = []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            p = p35
+            while p <= limit:
+                found.append(p)
+                p *= 2
+            p35 *= 3
+        p5 *= 5
+    numbers = sorted(n for n in found if n >= 2)
+    return [
+        TableRow(i, FloatingSex(n), reciprocal(FloatingSex(n))) for i, n in enumerate(numbers, 1)
+    ]
+
+
+def assert_same_rows(rows, expected):
+    assert list(rows) == expected
+    for row in rows:
+        for value in (row.value, row.reciprocal):
+            assert type(value) is FloatingSex and type(value.mantissa) is int
+            assert value.mantissa % 60 != 0
 
 
 class TestGenerateDoubling:
@@ -101,6 +133,24 @@ class TestGenerateStandard:
     def test_bad_limit(self):
         with pytest.raises(ValueError):
             generate_standard(1)
+
+    @pytest.mark.parametrize("limit", [2, 59, 60, 61, 3600, 10**6, 10**12])
+    def test_rows_match_factoring_each_number(self, limit):
+        assert_same_rows(generate_standard(limit), old_generate_standard(limit))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 10**15))
+    def test_rows_match_at_any_limit(self, limit):
+        assert_same_rows(generate_standard(limit), old_generate_standard(limit))
+
+    def test_table_bytes_match_the_recorded_digest(self):
+        # SHA-256 of `table standard --limit 10**19`, recorded from the
+        # original code's output (STANDARD_SHA[19] in bench/workloads.py).
+        text = table_tsv(generate_standard(10**19))
+        assert text.count("\n") == 12760
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+            "e7f56b4113cbf3fd31b5903c5d72e8c69c04cd43ab31d8b4bda2a3087b21bbaa"
+        )
 
     def test_completeness_against_filter_oracle(self):
         pairs = generate_standard(500)

@@ -136,6 +136,47 @@ class TestToNumber:
             to_number(parse("1"), "anchored")
 
 
+def value_oracle(digits):
+    value = 0
+    for d in digits:
+        value = value * 60 + d
+    return value
+
+
+def same_fields(a, b):
+    fields = lambda x: [(type(getattr(x, n)), getattr(x, n)) for n in x.__slots__]
+    return type(a) is type(b) and fields(a) == fields(b)
+
+
+class TestToNumberAgreesWithTheChecks:
+    """to_number skips the checks when the last digit is not zero; it must not matter."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1", "1,0", "1,0,0", "30,0", "0;30", "0;6", "0;0,45", ";0,45,0", "1;0", "59,59",
+         "0", "0;0", "0;0,0", "10,12;45", "2,0;30,0"],
+    )
+    def test_explicit_cases(self, text):
+        self.check(parse(text))
+
+    @given(st.lists(st.integers(0, 59), min_size=1, max_size=200), st.data())
+    def test_any_digits(self, digits, data):
+        # Trailing zeros are common here: a third of the digits are zero.
+        digits = [d if d % 3 else 0 for d in digits]
+        si = data.draw(st.none() | st.integers(0, len(digits)))
+        if digits[0] == 0 and len(digits) > 1 and si not in (0, 1):
+            digits[0] = 1  # keep the leading-zero rule
+        self.check(Transliteration(tuple(digits), si, "raw"))
+
+    @staticmethod
+    def check(t):
+        value = value_oracle(t.digits)
+        si = len(t.digits) if t.semicolon_index is None else t.semicolon_index
+        assert same_fields(to_number(t, "absolute"), SexNumber(value, si - len(t.digits)))
+        if value:
+            assert same_fields(to_number(t, "floating"), FloatingSex(value))
+
+
 class TestFormat:
     def test_table_reciprocal_with_interior_zero(self):
         assert translit.format(SexNumber(20250, -4)) == "0;0,5,37,30"
