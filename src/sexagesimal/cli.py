@@ -13,7 +13,7 @@ import argparse
 import os
 import stat
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import tables, translit
 from .core import SexNumber, _remove_factor, multiply
@@ -130,20 +130,26 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit(path: str | None, text: str) -> int:
+def _emit(path: str | None, lines: Iterable[str]) -> int:
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write(sys.stdout, lines)
     elif os.path.exists(path) and not os.path.isfile(path):
         # A directory, device or pipe: there is no file to swap, so open it as named.
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            _write(handle, lines)
     else:
-        _replace(path, text)
+        _replace(path, lines)
     return EXIT_OK
 
 
-def _replace(path: str, text: str) -> None:
-    """Write text to a temporary file beside path, then rename it over path.
+def _write(handle, lines: Iterable[str]) -> None:
+    """Write line by line, so memory holds one line, however long the table."""
+    for line in lines:
+        handle.write(line)
+
+
+def _replace(path: str, lines: Iterable[str]) -> None:
+    """Write the lines to a temporary file beside path, then rename it over path.
 
     An interrupted write leaves the old file or none, never half a
     table.  A symlink is followed, an existing file keeps its mode and
@@ -165,7 +171,7 @@ def _replace(path: str, text: str) -> None:
             prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
         )
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            _write(handle, lines)
         os.chmod(temporary, mode)
         os.replace(temporary, target)
     except BaseException as exc:
@@ -183,13 +189,15 @@ def _cmd_table_double(args: argparse.Namespace) -> int:
 
 
 def _cmd_table_standard(args: argparse.Namespace) -> int:
-    return _emit(args.output, tables.table_tsv(tables.generate_standard(args.limit)))
+    return _emit(args.output, tables.table_tsv(tables._standard_rows(args.limit)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.file, encoding="utf-8", newline="") as handle:
-        text = handle.read()
-    report = tables.verify_table(tables.parse_tsv(text), args.mode)
+    # Binary chunks: parse_tsv decodes whole lines, so a bad byte is named by its line.
+    with open(args.file, "rb") as handle:
+        chunks = iter(lambda: handle.read(1 << 16), b"")
+        report = tables.verify_table(tables.parse_tsv(chunks), args.mode)
+    # Printed only now: a structural fault anywhere exits 2 before any output.
     for finding in report.bad():
         print(f"row {finding.row_index}: {finding.kind}: {finding.message}")
     print(f"pairs: {report.count(tables.PAIR_OK)} ok, {report.count(tables.PAIR_BAD)} bad")

@@ -3,21 +3,32 @@
 A doubling table starts from a regular seed and repeatedly doubles it
 while halving its reciprocal; both walks are exact, so every row stays a
 reciprocal pair.  This is how scribes extended their reciprocal lists
-cheaply.  Both generators return numbered ``TableRow``s; a standard
-table is built from each number's exponents, never by factoring.  The
-verifier goes the other way: given a transcribed table, it checks the
-relations structurally, counts the ones that hold and reports findings
-for the ones that do not, without ever correcting an entry.
+cheaply.  A standard table is built from each number's exponents, never
+by factoring.  The verifier goes the other way: given a transcribed
+table, it checks the relations structurally, counts the ones that hold
+and reports findings for the ones that do not, without ever correcting
+an entry.
+
+The table path streams, so memory does not grow with the row count:
+
+- ``generate_doubling`` returns an iterator of numbered ``TableRow``s
+  that keeps only the current row; ``generate_standard`` returns a
+  tuple of them, built from the same row generator the CLI streams.
+- ``table_tsv`` yields one file line per row.
+- ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from the
+  text or from its chunks, holding one chunk of lines at a time.
+- ``verify_table`` returns a ``VerificationReport``: the bad findings,
+  the only state that grows, and a count per kind.
 
 Table file format (bit-exact): UTF-8, one row per line, three
-TAB-separated fields ``index<TAB>value<TAB>reciprocal``, LF endings,
-no header.
+TAB-separated fields ``index<TAB>value<TAB>reciprocal``, every line
+ending in LF (the last one too), no header.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from . import translit
 from .core import BASE, FloatingSex, SexNumber
@@ -42,28 +53,30 @@ class TableRow(NamedTuple):
 
 def generate_doubling(
     seed: FloatingSex | int, count: int, anchor_exponent: int = 0
-) -> tuple[TableRow, ...]:
+) -> Iterator[TableRow]:
     """Successively double a seed while halving its reciprocal.
 
     Row 1 pairs the seed with the reciprocal of the seed anchored at
     60**anchor_exponent, so a seed of 10 with anchor 0 starts the table
     at the pair (10, 1/10).  Each later row doubles the value and halves
-    the reciprocal.  Both
-    steps are exact, so rows[i].value * rows[i].reciprocal stays at the
-    row-1 product throughout.  Irregular seeds raise IrregularError.
+    the reciprocal.  Both steps are exact, so every row's value times
+    its reciprocal stays at the row-1 product.  The count and the seed
+    are checked at the call (an irregular seed raises IrregularError);
+    the rows then come one at a time, and only the current one is kept.
     """
     if isinstance(seed, int):
         seed = FloatingSex(seed)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    value = seed
-    rec = invert(seed.anchor(anchor_exponent))
-    rows = [TableRow(1, value, rec)]
+    return _doubling_rows(seed, invert(seed.anchor(anchor_exponent)), count)
+
+
+def _doubling_rows(value: FloatingSex, rec: SexNumber, count: int) -> Iterator[TableRow]:
+    yield TableRow(1, value, rec)
     for index in range(2, count + 1):
         value = value.double()
         rec = rec.halve()
-        rows.append(TableRow(index, value, rec))
-    return tuple(rows)
+        yield TableRow(index, value, rec)
 
 
 def generate_standard(limit: int) -> tuple[TableRow, ...]:
@@ -73,10 +86,14 @@ def generate_standard(limit: int) -> tuple[TableRow, ...]:
     entirely, as on the historical tablets, which list no entry at all
     for them.
     """
+    return tuple(_standard_rows(limit))
+
+
+def _standard_rows(limit: int) -> Iterator[TableRow]:
+    """The rows of generate_standard(limit), one at a time."""
     if limit < 2:
         raise ValueError(f"limit must be at least 2, got {limit}")
     odd_exponents = _odd_regulars(limit)
-    rows = []
     for index, n in enumerate(regular_numbers(limit), start=1):
         two = (n & -n).bit_length() - 1  # the lowest set bit
         three, five = odd_exponents[n >> two]
@@ -86,8 +103,7 @@ def generate_standard(limit: int) -> tuple[TableRow, ...]:
         value, rec = FloatingSex._canonical(m), FloatingSex._canonical(r)
         if not is_reciprocal_pair(value, rec):
             raise ValueError(f"{value.mantissa} and {rec.mantissa} are not a reciprocal pair")
-        rows.append(TableRow(index, value, rec))
-    return tuple(rows)
+        yield TableRow(index, value, rec)
 
 
 class Finding(NamedTuple):
@@ -172,41 +188,82 @@ def verify_table(
     return VerificationReport(tuple(row_findings + chain_findings), counts)
 
 
-def table_tsv(rows: Iterable[TableRow]) -> str:
-    """Rows in the file format; each value is written in its own style (floating or anchored)."""
-    return "".join(
-        f"{row.index}\t{translit.format(row.value)}\t{translit.format(row.reciprocal)}\n"
-        for row in rows
-    )
+def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:
+    """Each row as one line of the file format, LF included, in row order.
 
-
-def parse_tsv(text: str) -> list[tuple[int, str, str]]:
-    """Split a table file into (index, value, reciprocal) text rows.
-
-    The line structure is rigid: LF-terminated lines of three
-    TAB-separated fields with an index of ASCII digits.  Structural faults,
-    including any carriage return, raise ValueError naming the line;
-    number notation inside the fields is left to verify_table.
+    Each value is written in its own style, floating or anchored.
     """
-    cr = text.find("\r")
-    if cr >= 0:
-        lineno = text.count("\n", 0, cr) + 1
-        raise ValueError(f"line {lineno}: carriage return found; lines must end in LF only")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()  # the piece after the final newline
-    rows: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ValueError(
-                f"line {lineno}: expected 3 tab-separated fields, found {len(fields)}"
-            )
+    for row in rows:
+        yield f"{row.index}\t{translit.format(row.value)}\t{translit.format(row.reciprocal)}\n"
+
+
+def parse_tsv(
+    source: str | bytes | Iterable[str | bytes],
+) -> Iterator[tuple[int, str, str]]:
+    """Split a table file into (index, value, reciprocal) text rows, lazily.
+
+    source is the whole text or its chunks in file order, as str or as
+    UTF-8 bytes; only the lines of the current chunk are held.  The line
+    structure is rigid: LF-terminated lines of three TAB-separated
+    fields with an index of ASCII digits.  Structural faults raise
+    ValueError naming the line, after the rows before it: any carriage
+    return, bytes that are not UTF-8, a last line without its LF.
+    Number notation inside the fields is left to verify_table.
+    """
+    if isinstance(source, (str, bytes)):
+        source = (source,)
+    lineno = 0
+    pending: list = []  # the start of a line whose LF has not come yet
+    for chunk in source:
+        end = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
+        if not end:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:end])
+        lines, fault = _whole_lines(chunk[:0].join(pending), lineno)
+        pending = [chunk[end:]]
+        for line in lines:
+            lineno += 1
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ValueError(
+                    f"line {lineno}: expected 3 tab-separated fields, found {len(fields)}"
+                )
+            index = fields[0]
+            if not (index.isascii() and index.isdigit()):
+                raise ValueError(f"line {lineno}: index {index!r} is not an integer")
+            yield int(index), fields[1], fields[2]
+        if fault is not None:
+            raise fault
+    if any(pending):
+        tail = pending[0][:0].join(pending)
+        fault = _whole_lines(tail + (b"\n" if isinstance(tail, bytes) else "\n"), lineno)[1]
+        raise fault or ValueError(f"line {lineno + 1}: the file does not end in LF")
+
+
+def _whole_lines(block: str | bytes, lineno: int) -> tuple[list[str], ValueError | None]:
+    """The lines, LFs cut off, of a run of LF-terminated lines after line lineno.
+
+    Returns the lines before the first one with a fault (a CR, or bytes
+    that are not UTF-8) and that fault, which names its line, or None.
+    """
+    fault = None
+    if isinstance(block, bytes):
         try:
-            if not (fields[0].isascii() and fields[0].isdigit()):
-                raise ValueError
-            index = int(fields[0])
-        except ValueError:
-            raise ValueError(f"line {lineno}: index {fields[0]!r} is not an integer") from None
-        rows.append((index, fields[1], fields[2]))
-    return rows
+            block = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            start = block.rfind(b"\n", 0, exc.start) + 1
+            bad = lineno + block.count(b"\n", 0, start) + 1
+            fault = ValueError(
+                f"line {bad}: 'utf-8' codec can't decode byte {block[exc.start]:#04x}"
+                f" in column {exc.start - start + 1}: {exc.reason}"
+            )
+            block = block[:start].decode("utf-8")
+    cr = block.find("\r")
+    if cr >= 0:
+        block = block[:cr]
+        bad = lineno + block.count("\n") + 1
+        fault = ValueError(f"line {bad}: carriage return found; lines must end in LF only")
+    lines = block.split("\n")
+    lines.pop()  # after the last LF, or the start of the line with the fault
+    return lines, fault

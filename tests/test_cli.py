@@ -3,8 +3,11 @@
 import builtins
 import errno
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -278,6 +281,38 @@ class TestVerifyCommand:
         assert "line 1" in err
 
 
+    def test_missing_final_lf_is_a_structural_fault(self, cli, tmp_path):
+        cut = tmp_path / "cut.tsv"
+        cut.write_bytes(Path(str_golden_path()).read_bytes()[:-1])
+        assert cli("verify", str(cut)) == (
+            2, "", "error: line 30: the file does not end in LF\n"
+        )
+
+    def test_bytes_that_are_not_utf8_are_named_by_line(self, cli, tmp_path):
+        text = "".join(f"{i}\t10\t0;6\n" for i in range(1, 10001)).encode()
+        offset = 100_000  # beyond the first 64 KiB read
+        line = text.count(b"\n", 0, offset) + 1
+        column = offset - text.rfind(b"\n", 0, offset)
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(text[:offset] + b"\xff" + text[offset + 1 :])
+        assert cli("verify", str(bad)) == (
+            2,
+            "",
+            f"error: line {line}: 'utf-8' codec can't decode byte 0xff in column {column}:"
+            " invalid start byte\n",
+        )
+
+    def test_bad_rows_before_a_structural_fault_print_nothing(self, cli, tmp_path):
+        lines = Path(str_golden_path()).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = lines[3].replace("0;", "0;1", 1)
+        lines[20] = "21\t1\n"
+        broken = tmp_path / "broken.tsv"
+        broken.write_text("".join(lines), encoding="utf-8")
+        code, out, err = cli("verify", "--mode", "doubling", str(broken))
+        assert (code, out) == (2, "")
+        assert err == "error: line 21: expected 3 tab-separated fields, found 2\n"
+
+
 class TestUsage:
     def test_no_arguments(self, cli):
         assert cli()[0] == 2
@@ -311,3 +346,68 @@ class TestSubprocess:
         result = self._run("recip", "40,51")
         assert result.returncode == 1
         assert "817" in result.stderr
+
+
+class TestStreaming:
+    """Table commands hold one row at a time; checked on real child processes."""
+
+    # Runs the CLI, then writes the process's own peak resident set (kB) to stderr.
+    # ru_maxrss would not do: a child can inherit its parent's high-water mark.
+    MEASURED = (
+        "import sys\n"
+        "from sexagesimal.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    sys.stderr.write(next(l.split()[1] for l in status if l.startswith('VmHWM:')))\n"
+        "sys.exit(code)\n"
+    )
+
+    @staticmethod
+    def env():
+        return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        peaks = {}
+        for size, (rows, limit) in enumerate([(500, 10**6), (4000, 10**24)]):
+            table, standard = tmp_path / f"{rows}.tsv", tmp_path / f"{limit}.tsv"
+            for name, argv in [
+                ("double", ["table", "double", "--seed", "10", "--rows", str(rows), "-o", table]),
+                ("verify", ["verify", "--mode", "doubling", table]),
+                ("standard", ["table", "standard", "--limit", str(limit), "-o", standard]),
+            ]:
+                result = subprocess.run(
+                    [sys.executable, "-c", self.MEASURED, *map(str, argv)],
+                    capture_output=True, text=True, env=self.env(),
+                )
+                assert result.returncode == 0, result.stderr
+                peaks[name, size] = int(result.stderr)
+        # 14 MB of doubling table and 25,520 standard rows at the larger size
+        assert (tmp_path / "4000.tsv").stat().st_size > 14_000_000
+        for name in ("double", "verify", "standard"):
+            assert peaks[name, 1] <= 1.5 * peaks[name, 0], peaks
+
+    def test_killed_write_keeps_the_old_table(self, tmp_path):
+        target = tmp_path / "table.tsv"
+        target.write_bytes(b"old\n")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "sexagesimal", "table", "double", "--seed", "10",
+             "--rows", "10000", "-o", str(target)],
+            env=self.env(),
+        )
+        try:
+            deadline = time.monotonic() + 60
+            grown = False
+            while not grown and child.poll() is None and time.monotonic() < deadline:
+                sizes = [p.stat().st_size for p in tmp_path.glob(".table.tsv.*.tmp")]
+                grown = any(size > 1 << 20 for size in sizes)
+                time.sleep(0.005)
+            assert grown, "the temporary file never grew past 1 MiB while the child ran"
+            child.send_signal(signal.SIGKILL)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == -signal.SIGKILL
+        assert target.read_bytes() == b"old\n"
+        left = [p.name for p in tmp_path.iterdir() if p != target]
+        assert all(re.fullmatch(r"\.table\.tsv\..+\.tmp", name) for name in left), left

@@ -69,19 +69,19 @@ def assert_same_rows(rows, expected):
 
 class TestGenerateDoubling:
     def test_single_row(self):
-        table = generate_doubling(10, 1)
+        table = tuple(generate_doubling(10, 1))
         assert table == (TableRow(1, FloatingSex(10), SexNumber(6, -1)),)
 
     def test_unit_seed(self):
-        table = generate_doubling(1, 2)
+        table = tuple(generate_doubling(1, 2))
         assert [translit.format(r.value) for r in table] == ["1", "2"]
         assert [translit.format(r.reciprocal) for r in table] == ["1", "0;30"]
 
     def test_full_table_matches_transcription(self, golden_text):
-        assert table_tsv(generate_doubling(10, 30)) == golden_text
+        assert "".join(table_tsv(generate_doubling(10, 30))) == golden_text
 
     def test_row_relations_hold_by_construction(self):
-        table = generate_doubling(9, 12)
+        table = tuple(generate_doubling(9, 12))
         for prev, row in zip(table, table[1:]):
             assert row.value == prev.value.double()
             assert row.reciprocal == prev.reciprocal.halve()
@@ -93,8 +93,16 @@ class TestGenerateDoubling:
 
     def test_anchor_exponent_moves_row_one(self):
         # seed 10 read as 10*60: its reciprocal is 0;0,6
-        table = generate_doubling(10, 1, anchor_exponent=1)
+        table = tuple(generate_doubling(10, 1, anchor_exponent=1))
         assert translit.format(table[0].reciprocal) == "0;0,6"
+
+    def test_rows_come_one_at_a_time(self, monkeypatch):
+        doubled = []
+        double = FloatingSex.double
+        monkeypatch.setattr(FloatingSex, "double", lambda self: doubled.append(self) or double(self))
+        rows = generate_doubling(10, 3000)
+        assert next(rows).index == 1 and doubled == []
+        assert next(rows).index == 2 and doubled == [FloatingSex(10)]
 
     def test_irregular_seed_rejected(self):
         with pytest.raises(IrregularError):
@@ -146,7 +154,7 @@ class TestGenerateStandard:
     def test_table_bytes_match_the_recorded_digest(self):
         # SHA-256 of `table standard --limit 10**19`, recorded from the
         # original code's output (STANDARD_SHA[19] in bench/workloads.py).
-        text = table_tsv(generate_standard(10**19))
+        text = "".join(table_tsv(generate_standard(10**19)))
         assert text.count("\n") == 12760
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
             "e7f56b4113cbf3fd31b5903c5d72e8c69c04cd43ab31d8b4bda2a3087b21bbaa"
@@ -185,7 +193,7 @@ class TestVerifyTable:
 
     def test_pairs_mode_skips_chain_checks(self):
         # a standard table is no doubling chain; pairs mode stays clean
-        rows = parse_tsv(table_tsv(generate_standard(8)))
+        rows = list(parse_tsv(table_tsv(generate_standard(8))))
         assert verify_table(rows, mode="pairs").ok
         doubling = verify_table(rows, mode="doubling")
         assert not doubling.ok
@@ -230,15 +238,15 @@ class TestVerifyTable:
 
 class TestTsv:
     def test_file_shape(self):
-        text = table_tsv(generate_doubling(10, 2))
+        text = "".join(table_tsv(generate_doubling(10, 2)))
         assert text == "1\t10\t0;6\n2\t20\t0;3\n"
 
     def test_standard_shape(self):
-        text = table_tsv(generate_standard(3))
+        text = "".join(table_tsv(generate_standard(3)))
         assert text == "1\t2\t30\n2\t3\t20\n"
 
     def test_round_trip(self, golden_text, golden_rows):
-        rows = parse_tsv(golden_text)
+        rows = list(parse_tsv(golden_text))
         assert rows == golden_rows
         assert rows[0] == (1, "10", "0;6")
         assert rows[29][0] == 30
@@ -260,12 +268,53 @@ class TestTsv:
     )
     def test_structural_faults_raise(self, text):
         with pytest.raises(ValueError):
-            parse_tsv(text)
+            list(parse_tsv(text))
 
     def test_carriage_return_names_its_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            parse_tsv("1\t10\t0;6\n2\t20\t0;3\r\n")
+            list(parse_tsv("1\t10\t0;6\n2\t20\t0;3\r\n"))
 
     @pytest.mark.parametrize("separator", ["\x85", "\u2028"])
     def test_only_lf_ends_a_line(self, separator):
-        assert parse_tsv(f"1\t1{separator}0\t0;6\n") == [(1, f"1{separator}0", "0;6")]
+        assert list(parse_tsv(f"1\t1{separator}0\t0;6\n")) == [(1, f"1{separator}0", "0;6")]
+
+    def test_missing_final_lf_names_its_line(self):
+        with pytest.raises(ValueError, match="line 2: the file does not end in LF"):
+            list(parse_tsv("1\t10\t0;6\n2\t20\t0;3"))
+
+    def test_rows_before_a_fault_come_first(self):
+        rows = parse_tsv("1\t10\t0;6\n2\t20\n")
+        assert next(rows) == (1, "10", "0;6")
+        with pytest.raises(ValueError, match="line 2"):
+            next(rows)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 1000, 1 << 16])
+    def test_chunks_of_any_size_give_the_same_rows(self, golden_text, golden_rows, size):
+        # Lines, multi-byte characters and faults may all straddle chunk ends.
+        for text in (golden_text, golden_text.replace(";", "\u2028;")):
+            data = text.encode("utf-8")
+            expected = list(parse_tsv(text))
+            assert list(parse_tsv(text[i : i + size] for i in range(0, len(text), size))) == expected
+            assert list(parse_tsv(data[i : i + size] for i in range(0, len(data), size))) == expected
+        assert list(parse_tsv(golden_text)) == golden_rows
+        lines = golden_text.encode().splitlines(keepends=True)
+        for bad, message in [
+            (lines[:16] + [lines[16].replace(b"\n", b"\r\n")] + lines[17:], "line 17: carriage"),
+            (lines[:-1] + [lines[-1][:-1]], "line 30: the file does not end in LF"),
+            # 0xC3 starts a two-byte character, a TAB cannot continue it
+            (lines[:23] + [lines[23].replace(b"\t", b"\xc3\t", 1)] + lines[24:], "line 24: 'utf"),
+        ]:
+            bad = b"".join(bad)
+            with pytest.raises(ValueError, match=message):
+                list(parse_tsv(bad[i : i + size] for i in range(0, len(bad), size)))
+
+    def test_bytes_that_are_not_utf8_name_their_line_and_column(self):
+        text = "".join(f"{i}\t10\t0;6\n" for i in range(1, 10001)).encode()
+        offset = 100_000
+        line = text.count(b"\n", 0, offset) + 1
+        column = offset - text.rfind(b"\n", 0, offset)
+        bad = text[:offset] + b"\xff" + text[offset + 1 :]
+        chunks = (bad[i : i + (1 << 16)] for i in range(0, len(bad), 1 << 16))
+        message = f"line {line}: 'utf-8' codec can't decode byte 0xff in column {column}"
+        with pytest.raises(ValueError, match=message):
+            list(parse_tsv(chunks))
