@@ -168,11 +168,12 @@ def verify_table(
         value = parse_cell(index, "value", value_text, "floating")
         rec = parse_cell(index, "reciprocal", reciprocal_text, "absolute")
         if value is not None and rec is not None:
-            record(
-                row_findings, bool(rec) and is_reciprocal_pair(value, rec.to_floating()),
-                PAIR_OK, PAIR_BAD, index, "{} and {} are not a reciprocal pair",
-                value_text.strip(), reciprocal_text.strip(),
-            )
+            if rec and is_reciprocal_pair(value, rec.to_floating()):
+                counts[PAIR_OK] += 1
+            else:  # the texts are stripped for the message only
+                counts[PAIR_BAD] += 1
+                pair = f"{value_text.strip()} and {reciprocal_text.strip()}"
+                row_findings.append(Finding(PAIR_BAD, index, f"{pair} are not a reciprocal pair"))
         if mode == "doubling":
             if prev_value is not None and value is not None:
                 record(

@@ -21,15 +21,16 @@ errors, their messages and their positions come from one place.
 
 Long numbers convert by divide and conquer over the cached powers
 60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010, §1.7):
-``format`` splits a mantissa into halves, quarters, ... and finishes
-blocks of a few dozen digits with a short loop, and ``to_number``
-combines all digits pairwise, level by level, in one packed integer.
-Either way the Python-level work per digit no longer grows with the
-length; what does is a few big-integer operations per level, in C.
+``format`` splits a mantissa into halves, quarters, ... and writes
+blocks of 32 digits two per step from a table of the 3,600 spellings
+"h,l"; ``to_number`` combines all digits pairwise, level by level, in
+one packed integer.  Either way the Python-level work per digit no
+longer grows with the length, only a few big-integer steps per level.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, repeat
 from typing import Literal, overload
 
@@ -40,7 +41,8 @@ _ASCII_DIGITS = "0123456789"
 _DIGIT_TEXT = tuple(str(d) for d in range(BASE))
 _DIGIT_VALUE = {text: d for d, text in enumerate(_DIGIT_TEXT)}
 _LEAF = 5  # format writes blocks of 2**_LEAF digits with a short loop
-_LEAF_DIGITS = range(1 << _LEAF)
+_LEAF_PAIRS = range(1 << _LEAF - 1)  # two digits per step
+_PAIR = BASE * BASE
 _POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squared on demand
 _MASKS: dict[int, list[int]] = {}  # levels -> to_number's field mask at each level
 _SHORT = 128  # to_number folds this many digits or fewer one by one
@@ -235,19 +237,26 @@ def _value_of(digits: tuple[int, ...]) -> int:
     return packed
 
 
-def _digits_of(mantissa: int) -> list[int]:
-    """Base-60 digits of a positive integer, most significant first.
+@cache
+def _pair_text() -> tuple[str, ...]:
+    """The 3,600 spellings "h,l" of h*60 + l, "0,l" padded; built on first use."""
+    return tuple([h + "," + l for h in _DIGIT_TEXT for l in _DIGIT_TEXT])
 
-    Blocks of 60**2**j are split off the top while they fit, each block
-    is halved level by level into blocks of 2**_LEAF digits, and a
-    short loop writes each of those out with its leading zeros; only the
-    head left at the top, below 60**2**(_LEAF + 1), goes unpadded.
+
+def _text_of(mantissa: int) -> str:
+    """The digits of a positive integer, comma-separated, most significant first.
+
+    Blocks of 60**2**j are split off the top while they fit and halved
+    level by level into blocks of 2**_LEAF digits.  Those and the head
+    left above them are written two digits per step, a remainder by 60**2
+    looked up in the pair table, and joined once; a lone top digit is unpadded.
     """
+    pairs = _pair_text()
     head = mantissa
     top = _LEAF
     while head >= _POWERS[_LEAF + 1] and _power(top + 1) <= head:  # below 60**64, no split
         top += 1
-    out: list[int] = []  # least significant digit first
+    out: list[str] = []  # pair spellings, least significant first
     append = out.append
     for j in range(top, _LEAF, -1):
         if head >= _POWERS[j]:
@@ -256,18 +265,16 @@ def _digits_of(mantissa: int) -> list[int]:
             for i in range(j - 1, _LEAF - 1, -1):
                 blocks = list(chain.from_iterable(map(divmod, blocks, repeat(_POWERS[i]))))
             for block in reversed(blocks):
-                for _ in _LEAF_DIGITS:
-                    block, d = divmod(block, BASE)
-                    append(d)
-    while head:
-        head, d = divmod(head, BASE)
-        append(d)
+                for _ in _LEAF_PAIRS:
+                    block, low = divmod(block, _PAIR)
+                    append(pairs[low])
+    while head >= _PAIR:
+        head, low = divmod(head, _PAIR)
+        append(pairs[low])
+    if head:
+        append(pairs[head] if head >= BASE else _DIGIT_TEXT[head])
     out.reverse()
-    return out
-
-
-def _joined(digits: list[int]) -> str:
-    return ",".join([_DIGIT_TEXT[d] for d in digits])
+    return ",".join(out)
 
 
 def format(value: SexNumber | FloatingSex, style: str | None = None) -> str:
@@ -284,17 +291,19 @@ def format(value: SexNumber | FloatingSex, style: str | None = None) -> str:
     if style == "floating":
         if isinstance(value, SexNumber):
             value = value.to_floating()
-        return _joined(_digits_of(value.mantissa))
+        return _text_of(value.mantissa)
     if style != "anchored":
         raise ValueError(f"unknown style {style!r}")
     if not isinstance(value, SexNumber):
         raise TypeError("anchored style needs a place-anchored value")
     if value.mantissa == 0:
         return "0"
-    digits = _digits_of(value.mantissa)
     if value.exponent >= 0:
-        return _joined(digits) + ",0" * value.exponent
-    point = len(digits) + value.exponent
-    if point <= 0:
-        return "0;" + "0," * -point + _joined(digits)
-    return f"{_joined(digits[:point])};{_joined(digits[point:])}"
+        return _text_of(value.mantissa) + ",0" * value.exponent
+    places = -value.exponent
+    # Below 2**(5 * places) < 60**places a pure fraction needs no power to tell it.
+    if value.mantissa.bit_length() <= 5 * places or value.mantissa < (unit := BASE**places):
+        text = _text_of(value.mantissa)
+        return "0;" + "0," * (places - 1 - text.count(",")) + text
+    whole, fraction = divmod(value.mantissa, unit)  # fraction + unit keeps its zeros after "1,"
+    return _text_of(whole) + ";" + _text_of(fraction + unit)[2:]

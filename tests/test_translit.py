@@ -273,6 +273,10 @@ def digits_oracle(mantissa):
     return out[::-1]
 
 
+def text_oracle(mantissa):
+    return ",".join(map(str, digits_oracle(mantissa)))
+
+
 def format_oracle(value):
     # The anchored formatter written digit by digit, from the oracle's digits.
     if value.mantissa == 0:
@@ -289,12 +293,12 @@ def format_oracle(value):
 class TestLongNumbers:
     """Divide-and-conquer conversion at the edges of its blocks."""
 
-    @pytest.mark.parametrize("k", [7, 8, 9, 15, 16, 17, 31, 32, 33, 1024])
+    @pytest.mark.parametrize("k", [*range(1, 131), 1024])  # 32, 64 and 128 edge the blocks
     def test_around_powers_of_60(self, k):
         for m in (60**k - 1, 60**k, 60**k + 1):
-            digits = translit._digits_of(m)
-            assert digits == digits_oracle(m)
-            assert translit._value_of(tuple(digits)) == m
+            text = translit._text_of(m)
+            assert text == text_oracle(m)
+            assert translit._value_of(parse(text).digits) == m
             for value in (FloatingSex(m), SexNumber(m), SexNumber(m, -k)):
                 text = translit.format(value)
                 reading = "floating" if isinstance(value, FloatingSex) else "absolute"
@@ -313,20 +317,27 @@ class TestLongNumbers:
     @staticmethod
     def check_random_mantissa(bits, rng):
         m = rng.getrandbits(bits) | 1 << (bits - 1)
-        digits = translit._digits_of(m)
-        assert digits == digits_oracle(m)
-        assert translit._value_of(tuple(digits)) == m
+        text = translit._text_of(m)
+        assert text == text_oracle(m)
+        assert translit._value_of(parse(text).digits) == m
         value = FloatingSex(m)
         assert to_number(parse(translit.format(value)), "floating") == value
 
-    @pytest.mark.parametrize("size", [1, 64, 65, 129, 1000])
+    @pytest.mark.parametrize("size", [1, 2, 6, 7, 64, 65, 129, 1000])
     def test_point_inside_before_and_after_the_digits(self, size):
         m = 60 ** (size - 1) + 7  # size digits, the last one not zero
-        for exponent in (-size - 3, -size - 1, -size, -size + 1, -1, 0, 1, 4):
+        # -2, -3 and -4 give fractions of even and odd width led by zeros,
+        # e.g. 1,0;0,0,0,7 for size 6.
+        for exponent in (-size - 3, -size - 1, -size, -size + 1, -4, -3, -2, -1, 0, 1, 4):
             value = SexNumber(m, exponent)
             text = translit.format(value)
             assert text == format_oracle(value)
             assert to_number(parse(text), "absolute") == value
+
+    def test_every_mantissa_up_to_three_digits(self):
+        # Odd and even digit counts, and heads of one and two digits.
+        for m in range(1, 60**3 + 2):
+            assert translit._text_of(m) == text_oracle(m)
 
     def test_leading_zeros_inside_a_block(self):
         # The low block of 60**64 + 5 is all zeros but its last digit.
