@@ -302,6 +302,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits itself on --help (0) and usage errors (2).
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    # Numerals, mantissas and table indices may pass the interpreter's int/str
+    # limit of 4,300 digits: lift it while the command runs, where there is one.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except translit.ParseError as exc:
@@ -312,6 +317,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(EXIT_USAGE, str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

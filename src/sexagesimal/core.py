@@ -5,9 +5,10 @@ Keeping the mantissa free of factors of 60 gives exactly one
 representation per value, so equality is field-wise, hashing is free,
 and all arithmetic reduces to ordinary integer arithmetic.  Nothing here
 rounds: results are exact or they raise.  Values are immutable
-``__slots__`` objects whose constructors check and normalize; the
-trusted ``_canonical`` skips that, and only code that has proven the
-fields canonical calls it.
+``__slots__`` objects with one constructor each, which checks the types
+and normalizes; a mantissa that is already canonical costs it one
+remainder by 60, so every value, however it was computed, passes the
+same checks.
 """
 
 from __future__ import annotations
@@ -97,23 +98,17 @@ class SexNumber(_Value):
                 "mantissa and exponent must be int, got"
                 f" {type(mantissa).__name__} and {type(exponent).__name__}"
             )
-        if mantissa < 0:
-            raise ValueError(f"mantissa must be non-negative, got {mantissa}")
-        if mantissa == 0:
-            exponent = 0
-        else:
-            mantissa, k = _remove_factor(mantissa, BASE)
-            exponent += k
+        # A canonical mantissa is positive and leaves a remainder by 60.
+        if mantissa % BASE == 0 or mantissa < 0:
+            if mantissa < 0:
+                raise ValueError(f"mantissa must be non-negative, got {mantissa}")
+            if mantissa == 0:
+                exponent = 0
+            else:
+                mantissa, k = _remove_factor(mantissa, BASE)
+                exponent += k
         _set_mantissa(self, mantissa)
         _set_exponent(self, exponent)
-
-    @staticmethod
-    def _canonical(mantissa: int, exponent: int) -> "SexNumber":
-        """Trusted: int fields, the mantissa positive and not divisible by 60."""
-        self = object.__new__(SexNumber)
-        _set_mantissa(self, mantissa)
-        _set_exponent(self, exponent)
-        return self
 
     def __bool__(self) -> bool:
         return self.mantissa != 0
@@ -139,21 +134,18 @@ class SexNumber(_Value):
         e = min(self.exponent, other.exponent)
         return self._at_exponent(e) < other._at_exponent(e)
 
-    # 2m is a multiple of 60 only when m is one of 30, and 30m only when m is even.
     def double(self) -> "SexNumber":
-        make = SexNumber._canonical if self.mantissa % 30 else SexNumber
-        return make(self.mantissa * 2, self.exponent)
+        return SexNumber(self.mantissa * 2, self.exponent)
 
     def halve(self) -> "SexNumber":
         # Halving is exact: 1/2 is the regular value 30 * 60**-1.
-        make = SexNumber._canonical if self.mantissa & 1 else SexNumber
-        return make(self.mantissa * 30, self.exponent - 1)
+        return SexNumber(self.mantissa * 30, self.exponent - 1)
 
     def to_floating(self) -> "FloatingSex":
         """Drop the place value.  Zero has no floating form and raises."""
         if self.mantissa == 0:
             raise ValueError("zero has no floating form")
-        return FloatingSex._canonical(self.mantissa)
+        return FloatingSex(self.mantissa)
 
 
 class FloatingSex(_Value):
@@ -171,23 +163,18 @@ class FloatingSex(_Value):
     def __init__(self, mantissa: int) -> None:
         if type(mantissa) is not int:
             raise TypeError(f"floating mantissa must be int, got {type(mantissa).__name__}")
-        if mantissa <= 0:
-            raise ValueError(f"floating mantissa must be positive, got {mantissa}")
-        _set_floating(self, _remove_factor(mantissa, BASE)[0])
-
-    @staticmethod
-    def _canonical(mantissa: int) -> "FloatingSex":
-        """Trusted: an int mantissa, positive and not divisible by 60."""
-        self = object.__new__(FloatingSex)
+        if mantissa % BASE == 0 or mantissa < 0:
+            if mantissa <= 0:
+                raise ValueError(f"floating mantissa must be positive, got {mantissa}")
+            mantissa = _remove_factor(mantissa, BASE)[0]
         _set_floating(self, mantissa)
-        return self
 
     def double(self) -> "FloatingSex":
-        return (FloatingSex._canonical if self.mantissa % 30 else FloatingSex)(self.mantissa * 2)
+        return FloatingSex(self.mantissa * 2)
 
     def halve(self) -> "FloatingSex":
         # Dividing by 2 multiplies the class representative by 30.
-        return (FloatingSex._canonical if self.mantissa & 1 else FloatingSex)(self.mantissa * 30)
+        return FloatingSex(self.mantissa * 30)
 
     def anchor(self, exponent: int) -> SexNumber:
         """Reattach a place value: the result is mantissa * 60**exponent."""

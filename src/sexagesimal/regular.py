@@ -23,12 +23,15 @@ class IrregularError(ArithmeticError):
     """
 
     def __init__(self, mantissa: int, residue: int):
-        super().__init__(
-            f"{mantissa} is irregular: no finite reciprocal exists"
-            f" (residue {residue} is coprime to 60)"
-        )
+        super().__init__(mantissa, residue)  # __str__ writes the message: any size can be raised
         self.mantissa = mantissa
         self.residue = residue
+
+    def __str__(self) -> str:
+        return (
+            f"{self.mantissa} is irregular: no finite reciprocal exists"
+            f" (residue {self.residue} is coprime to 60)"
+        )
 
 
 class NoFiniteSolutionError(ArithmeticError):
@@ -39,12 +42,15 @@ class NoFiniteSolutionError(ArithmeticError):
     """
 
     def __init__(self, denominator: int, residue: int):
-        super().__init__(
-            f"no finite solution: reduced denominator {denominator}"
-            f" is irregular (residue {residue})"
-        )
+        super().__init__(denominator, residue)  # as IrregularError's
         self.denominator = denominator
         self.residue = residue
+
+    def __str__(self) -> str:
+        return (
+            f"no finite solution: reduced denominator {self.denominator}"
+            f" is irregular (residue {self.residue})"
+        )
 
 
 class Factorization235(NamedTuple):

@@ -100,7 +100,7 @@ def _standard_rows(limit: int) -> Iterator[TableRow]:
         k = min(two >> 1, three, five)  # the factors of 60 in n
         m = n // BASE**k if k else n
         r = _reciprocal_power(m, two - 2 * k, three - k, five - k)[1]
-        value, rec = FloatingSex._canonical(m), FloatingSex._canonical(r)
+        value, rec = FloatingSex(m), FloatingSex(r)
         if not is_reciprocal_pair(value, rec):
             raise ValueError(f"{value.mantissa} and {rec.mantissa} are not a reciprocal pair")
         yield TableRow(index, value, rec)

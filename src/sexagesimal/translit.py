@@ -195,15 +195,14 @@ def to_number(t, mode):
     string has no floating value and raises ValueError.
     """
     value = _value_of(t.digits)
-    # A last digit other than 0 makes the value positive and not a multiple of 60.
     if mode == "floating":
         if value == 0:
             raise ValueError("an all-zero numeral has no floating value")
-        return FloatingSex._canonical(value) if t.digits[-1] else FloatingSex(value)
+        return FloatingSex(value)
     if mode != "absolute":
         raise ValueError(f"unknown mode {mode!r}")
     exponent = 0 if t.semicolon_index is None else t.semicolon_index - len(t.digits)
-    return SexNumber._canonical(value, exponent) if t.digits[-1] else SexNumber(value, exponent)
+    return SexNumber(value, exponent)
 
 
 def _power(j: int) -> int:
@@ -277,25 +276,17 @@ def _text_of(mantissa: int) -> str:
     return ",".join(out)
 
 
-def format(value: SexNumber | FloatingSex, style: str | None = None) -> str:
+def format(value: SexNumber | FloatingSex) -> str:
     """Render a value; ``parse``/``to_number`` of the result round-trips.
 
-    anchored (SexNumber only): one semicolon marks the units place, pure
-    fractions get an explicit "0;" head, and interior zero digits are
-    written out ("0;0,45").  floating: the bare canonical digit string,
-    no semicolon, no leading zeros.  When style is omitted it follows
-    the value's own kind.
+    A SexNumber is written anchored: one semicolon marks the units
+    place, pure fractions get an explicit "0;" head, and interior zero
+    digits are written out ("0;0,45").  A FloatingSex is written as the
+    bare canonical digit string, no semicolon, no leading zeros; the
+    floating text of a SexNumber x is ``format(x.to_floating())``.
     """
-    if style is None:
-        style = "anchored" if isinstance(value, SexNumber) else "floating"
-    if style == "floating":
-        if isinstance(value, SexNumber):
-            value = value.to_floating()
+    if isinstance(value, FloatingSex):
         return _text_of(value.mantissa)
-    if style != "anchored":
-        raise ValueError(f"unknown style {style!r}")
-    if not isinstance(value, SexNumber):
-        raise TypeError("anchored style needs a place-anchored value")
     if value.mantissa == 0:
         return "0"
     if value.exponent >= 0:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,56 @@ class TestVerifyCommand:
         code, out, err = cli("verify", "--mode", "doubling", str(broken))
         assert (code, out) == (2, "")
         assert err == "error: line 21: expected 3 tab-separated fields, found 2\n"
+
+
+class TestLongNumbers:
+    """Numbers past the interpreter's default limit of 4,300 decimal digits for int/str."""
+
+    NINES = ",".join(["59"] * 2500)  # 60**2500 - 1: 4,446 decimal digits
+    SEVENS = ",".join(["7"] * 2500)  # irregular: 7 * (60**2500 - 1) / 59
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("parse", NINES, "--floating"), 0),
+            (("mul", NINES, "1"), 0),
+            (("recip", SEVENS), 1),
+            (("solve", SEVENS, "1"), 1),
+        ],
+        ids=["parse", "mul", "recip", "solve"],
+    )
+    def test_exit_codes(self, cli, argv, code):
+        assert cli(*argv)[0] == code
+
+    # Decimal spells an int exactly and is not bound by the int/str limit.
+    def test_parse_prints_the_whole_mantissa(self, cli):
+        _, out, err = cli("parse", self.NINES, "--floating")
+        assert f"mantissa: {Decimal(60**2500 - 1)}\n" in out
+        assert err == ""
+
+    def test_irregular_residue_is_printed(self, cli):
+        _, _, err = cli("recip", self.SEVENS)
+        assert f"(residue {Decimal(7 * (60**2500 - 1) // 59)})" in err
+
+    def test_verify_reads_a_long_index(self, cli, tmp_path):
+        table = tmp_path / "long_index.tsv"
+        table.write_text("1" * 5000 + "\t10\t6\n", encoding="utf-8")
+        code, out, _ = cli("verify", str(table))
+        assert code == 0
+        assert "#RESULT ok=true" in out
+
+    @pytest.mark.parametrize("argv", [("recip", SEVENS), ("parse", "6", "--floating"), ()])
+    def test_process_limit_is_restored(self, cli, argv):
+        get_limit = getattr(sys, "get_int_max_str_digits", None)
+        if get_limit is None:
+            pytest.skip("this interpreter has no int/str digit limit")
+        before = get_limit()
+        sys.set_int_max_str_digits(4321)  # not the default, so a leak from another test shows
+        try:
+            cli(*argv)
+            assert get_limit() == 4321
+        finally:
+            sys.set_int_max_str_digits(before)
 
 
 class TestUsage:

@@ -50,6 +50,7 @@ class TestNormalize:
     def test_zero_collapses_exponent(self):
         assert SexNumber(0, 7) == SexNumber(0, 0)
         assert SexNumber(0, 7).exponent == 0
+        assert (SexNumber(0, 5).mantissa, SexNumber(0, 5).exponent) == (0, 0)
 
     def test_strips_factors_of_base(self):
         assert strip_oracle(3600, 0) == (1, 2)
@@ -63,10 +64,12 @@ class TestNormalize:
         assert rational(n) == Fraction(mantissa) * Fraction(BASE) ** exponent
 
     def test_rejects_negative_mantissa(self):
-        with pytest.raises(ValueError):
-            SexNumber(-1)
+        # With and without a remainder by 60.
+        for m in [-1, -7, -59, -61, -60, -(60**40 - 1)]:
+            with pytest.raises(ValueError, match=f"^mantissa must be non-negative, got {m}$"):
+                SexNumber(m)
 
-    @pytest.mark.parametrize("args", [(7200.0,), (True,), (5, 1.0)])
+    @pytest.mark.parametrize("args", [(7200.0,), (-7.0,), (True,), (5, 1.0)])
     def test_rejects_non_int_fields(self, args):
         with pytest.raises(TypeError):
             SexNumber(*args)
@@ -130,7 +133,7 @@ class TestValueObjects:
         assert all(getattr(twin, n) == getattr(value, n) for n in value.__slots__)
 
     def test_copies_go_through_the_checking_constructor(self):
-        # Not the trusted one, so a pickle cannot smuggle in a non-canonical value.
+        # Never Transliteration's trusted _canonical, so a pickle cannot smuggle in a bad value.
         assert SexNumber(3600).__reduce__() == (SexNumber, (1, 2))
         numeral = Transliteration((0, 6), 1, "0;6")
         assert numeral.__reduce__() == (Transliteration, ((0, 6), 1, "0;6"))
@@ -156,14 +159,15 @@ def same_fields(a, b):
     return type(a) is type(b) and fields(a) == fields(b)
 
 
-# Mantissas around the cases the trusted paths split on: multiples of 30
-# and of 60, odd and even ones, and zero.
+# Mantissas around the cases where doubling or halving reaches a multiple
+# of 60, which the constructors must strip: multiples of 30 and of 60,
+# odd and even ones, and zero.
 EDGE_MANTISSAS = [0, 1, 2, 15, 29, 30, 31, 45, 59, 60, 61, 90, 120, 900, 1800, 3600,
                   7 * 60**5, 30 * 60**9 + 30, 2**100, 3**80, 60**40 - 1]
 
 
 class TestTrustedPathsAgreeWithTheChecks:
-    """Each shortcut against the checking constructor call it replaced."""
+    """double, halve and to_floating against a constructor call on the mantissa each stands for."""
 
     @pytest.mark.parametrize("m", EDGE_MANTISSAS)
     def test_edge_mantissas(self, m):
@@ -195,14 +199,15 @@ class TestFloatingSex:
         assert FloatingSex(600).mantissa == 10
         assert FloatingSex(600) == FloatingSex(10)
 
-    @pytest.mark.parametrize("bad", [0, -3])
+    @pytest.mark.parametrize("bad", [0, -3, -7, -59, -61, -60, -(60**40 - 1)])
     def test_rejects_non_positive(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^floating mantissa must be positive, got {bad}$"):
             FloatingSex(bad)
 
     def test_rejects_non_int_mantissa(self):
-        with pytest.raises(TypeError):
-            FloatingSex(2.0)
+        for bad in [2.0, 7.5]:
+            with pytest.raises(TypeError):
+                FloatingSex(bad)
 
 
 class TestAdd:

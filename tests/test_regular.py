@@ -206,6 +206,34 @@ class TestSolveLinear:
         assert multiply(x, a) == b
 
 
+class TestLongIrregularNumbers:
+    """Errors about numbers longer than the interpreter's 4,300-digit int/str limit."""
+
+    BIG = 7**6000  # 5,071 decimal digits
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda n: reciprocal(FloatingSex(n)), IrregularError),
+            (lambda n: invert(SexNumber(n)), IrregularError),
+            (lambda n: solve_linear(SexNumber(n), ONE), NoFiniteSolutionError),
+        ],
+        ids=["reciprocal", "invert", "solve_linear"],
+    )
+    def test_raised_for_any_size(self, call, error):
+        with pytest.raises(error) as info:
+            call(self.BIG)
+        assert info.value.residue == self.BIG
+
+    def test_messages_are_unchanged(self):
+        assert str(IrregularError(2451, 817)) == (
+            "2451 is irregular: no finite reciprocal exists (residue 817 is coprime to 60)"
+        )
+        assert str(NoFiniteSolutionError(2451, 817)) == (
+            "no finite solution: reduced denominator 2451 is irregular (residue 817)"
+        )
+
+
 class TestRegularNumbers:
     def test_enumerate_and_filter_small(self):
         assert regular_numbers(8) == [2, 3, 4, 5, 6, 8]

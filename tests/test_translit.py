@@ -194,17 +194,9 @@ class TestFormat:
         assert translit.format(SexNumber(36765, -1)) == "10,12;45"
 
     def test_floating_style_on_anchored_value(self):
-        assert translit.format(SexNumber(20250, -4), "floating") == "5,37,30"
+        assert translit.format(SexNumber(20250, -4).to_floating()) == "5,37,30"
         with pytest.raises(ValueError):
-            translit.format(ZERO, "floating")
-
-    def test_anchored_style_needs_anchored_value(self):
-        with pytest.raises(TypeError):
-            translit.format(FloatingSex(6), "anchored")
-
-    def test_unknown_style(self):
-        with pytest.raises(ValueError):
-            translit.format(FloatingSex(6), "cuneiform")
+            translit.format(ZERO.to_floating())
 
 
 class TestRoundTrip:
