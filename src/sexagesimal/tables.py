@@ -20,6 +20,16 @@ The table path streams, so memory does not grow with the row count:
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
   the only state that grows, and a count per kind.
 
+What ``verify_table`` converts depends on the mode.  In pairs mode
+every cell becomes its number and every row's pair is computed.  In
+doubling mode the chain checks compare cells on their digits, packed
+one per byte into an int and doubled or halved in place, so no chain
+check converts base 60 to binary.  A row's two cells become numbers
+only when its pair does not follow from the row before: if row i-1 is
+a reciprocal pair and row i doubles its value and halves its
+reciprocal, row i is one too, as (2x)(y/2) = xy.  A clean table
+converts row 1 alone.
+
 Table file format (bit-exact): UTF-8, one row per line, three
 TAB-separated fields ``index<TAB>value<TAB>reciprocal``, every line
 ending in LF (the last one too), no header.
@@ -140,53 +150,124 @@ def verify_table(
     for the reciprocal column.  Cells that fail to parse yield a
     PARSE_ERROR finding for their row and the remaining checks continue
     without them.  The row findings come first, then the chain findings,
-    each in row order.  Nothing is ever corrected.
+    each in row order.  Nothing is ever corrected.  What each mode
+    converts is told in the module docstring.
     """
     if mode not in ("pairs", "doubling"):
         raise ValueError(f"unknown mode {mode!r}")
+    doubling = mode == "doubling"
     counts: Counter[str] = Counter()
     row_findings: list[Finding] = []  # PAIR_BAD and PARSE_ERROR
     chain_findings: list[Finding] = []  # DOUBLING_BAD and HALVING_BAD
 
-    def record(findings, holds, ok_kind, bad_kind, index, message, *args):
+    def record(holds, ok_kind, bad_kind, index, message, *args):
         if holds:
             counts[ok_kind] += 1
         else:
             counts[bad_kind] += 1
-            findings.append(Finding(bad_kind, index, message.format(*args)))
+            chain_findings.append(Finding(bad_kind, index, message.format(*args)))
+        return holds
 
     def parse_cell(index, field, text, reading):
+        """(numeral, its packed digits in doubling mode or its number), or (None, None)."""
         try:
-            return translit.to_number(translit.parse(text), reading)
+            numeral = translit.parse(text)
+            return numeral, (_packed if doubling else translit.to_number)(numeral, reading)
         except ValueError as exc:  # covers ParseError and the floating-zero case
             counts[PARSE_ERROR] += 1
             row_findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
-            return None
+            return None, None
 
-    prev_index, prev_value, prev_rec = 0, None, None
+    prev_index, prev_value, prev_rec, prev_pair = 0, None, None, False
     for index, value_text, reciprocal_text in rows:
-        value = parse_cell(index, "value", value_text, "floating")
-        rec = parse_cell(index, "reciprocal", reciprocal_text, "absolute")
+        value_numeral, value = parse_cell(index, "value", value_text, "floating")
+        rec_numeral, rec = parse_cell(index, "reciprocal", reciprocal_text, "absolute")
+        proved = False
+        if doubling:
+            doubled = prev_value is not None and value is not None and record(
+                value == _double(prev_value), DOUBLING_OK, DOUBLING_BAD,
+                index, "value is not the double of row {}'s", prev_index,
+            )
+            halved = prev_rec is not None and rec is not None and record(
+                rec == _halve(prev_rec), HALVING_OK, HALVING_BAD,
+                index, "reciprocal is not half of row {}'s", prev_index,
+            )
+            proved = prev_pair and doubled and halved
+        pair = False
         if value is not None and rec is not None:
-            if rec and is_reciprocal_pair(value, rec.to_floating()):
+            if proved:
+                pair = True
+            elif doubling:  # value and rec are packed digits, not numbers
+                pair = _is_pair(
+                    translit.to_number(value_numeral, "floating"),
+                    translit.to_number(rec_numeral, "absolute"),
+                )
+            else:
+                pair = _is_pair(value, rec)
+            if pair:
                 counts[PAIR_OK] += 1
             else:  # the texts are stripped for the message only
                 counts[PAIR_BAD] += 1
-                pair = f"{value_text.strip()} and {reciprocal_text.strip()}"
-                row_findings.append(Finding(PAIR_BAD, index, f"{pair} are not a reciprocal pair"))
-        if mode == "doubling":
-            if prev_value is not None and value is not None:
-                record(
-                    chain_findings, value == prev_value.double(), DOUBLING_OK, DOUBLING_BAD,
-                    index, "value is not the double of row {}'s", prev_index,
+                pair_text = f"{value_text.strip()} and {reciprocal_text.strip()}"
+                row_findings.append(
+                    Finding(PAIR_BAD, index, f"{pair_text} are not a reciprocal pair")
                 )
-            if prev_rec is not None and rec is not None:
-                record(
-                    chain_findings, rec == prev_rec.halve(), HALVING_OK, HALVING_BAD,
-                    index, "reciprocal is not half of row {}'s", prev_index,
-                )
-        prev_index, prev_value, prev_rec = index, value, rec
+        prev_index, prev_value, prev_rec, prev_pair = index, value, rec, pair
     return VerificationReport(tuple(row_findings + chain_findings), counts)
+
+
+def _is_pair(value: FloatingSex, rec: SexNumber) -> bool:
+    """Whether the value times the reciprocal is a power of 60; a zero reciprocal is not."""
+    return bool(rec) and is_reciprocal_pair(value, rec.to_floating())
+
+
+def _packed(numeral: translit.Transliteration, reading: str) -> int | tuple[int, int]:
+    """A cell's value as its digits packed one per byte, trailing zero digits cut off.
+
+    The floating reading is the packed int alone, the absolute reading
+    the pair (packed, exponent); both are canonical, so they are equal
+    exactly when the numbers are.  An all-zero floating cell raises
+    to_number's error.
+    """
+    digits = numeral.digits
+    packed = int.from_bytes(bytes(digits), "big")
+    if not packed:
+        translit.to_number(numeral, reading)  # all zero: the floating reading raises here
+        return 0, 0
+    zeros = ((packed & -packed).bit_length() - 1) >> 3
+    packed >>= zeros << 3
+    if reading == "floating":
+        return packed
+    point = len(digits) if numeral.semicolon_index is None else numeral.semicolon_index
+    return packed, point - len(digits) + zeros
+
+
+def _ones(packed: int) -> int:
+    """0x0101...01, one 1 in the low bit of every byte of packed."""
+    return int.from_bytes(b"\x01" * ((packed.bit_length() + 7) >> 3), "big")
+
+
+def _double(packed: int) -> int:
+    """Packed floating digits of twice the value: each digit d becomes 2d,
+    less 60 with a carry of 1 into the next place where 2d >= 60."""
+    ones = _ones(packed)
+    doubled = packed << 1  # every byte 2d <= 118, so 2d + 0x44 sets bit 7 just when 2d >= 60
+    carries = ((doubled + 0x44 * ones) & (ones << 7)) >> 7
+    doubled += (carries << 8) - 60 * carries
+    # A last digit of 30 leaves 0 in its place; the carried 1 above it is not 0.
+    return doubled if doubled & 0xFF else doubled >> 8
+
+
+def _halve(rec: tuple[int, int]) -> tuple[int, int]:
+    """Packed absolute digits of half the value: each digit d leaves d >> 1
+    one place up and 30 * (d & 1) in its own place, one place lower."""
+    packed, exponent = rec
+    if not packed:
+        return rec
+    odd = packed & _ones(packed)
+    halved = ((packed - odd) << 7) + 30 * odd  # (packed - odd) >> 1, one byte up
+    # An even last digit leaves 0 in its place; the half of it above is not 0.
+    return (halved, exponent - 1) if halved & 0xFF else (halved >> 8, exponent)
 
 
 def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:
@@ -233,7 +314,11 @@ def parse_tsv(
             index = fields[0]
             if not (index.isascii() and index.isdigit()):
                 raise ValueError(f"line {lineno}: index {index!r} is not an integer")
-            yield int(index), fields[1], fields[2]
+            try:
+                number = int(index)
+            except ValueError as exc:  # longer than the interpreter's int/str limit
+                raise ValueError(f"line {lineno}: index of {len(index)} digits: {exc}") from None
+            yield number, fields[1], fields[2]
         if fault is not None:
             raise fault
     if any(pending):

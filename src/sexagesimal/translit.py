@@ -12,12 +12,14 @@ tolerated.  A string without a semicolon is ambiguous between an integer
 and a floating digit string; the parser records the tokens only and the
 caller picks a mode when converting, so nothing is ever guessed.
 
-Parsing has a fast path and a scanner.  Text with no space or tab is
-split at the semicolon and the commas, and each token is looked up in
-one table of the 60 digit spellings, which checks and converts it at
-once.  Any token the table lacks sends the whole text to the
-character scanner, the only code that finds the column of a fault, so
-errors, their messages and their positions come from one place.
+Parsing has a fast path and a scanner.  The text is split at the
+semicolon and the commas, and the tokens are looked up together in one
+table of the 60 digit spellings, which checks and converts them at
+once.  A token the table lacks, such as one with a blank or a second
+semicolon, sends the whole text to the scanner, the only code that
+finds the column of a fault, so errors, their messages and their
+positions come from one place.  The scanner matches runs of blanks and
+digit fields with compiled patterns, not character by character.
 
 Long numbers convert by divide and conquer over the cached powers
 60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010, §1.7):
@@ -30,14 +32,14 @@ longer grows with the length, only a few big-integer steps per level.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 from itertools import chain, repeat
+from operator import itemgetter
 from typing import Literal, overload
 
 from .core import BASE, FloatingSex, SexNumber, _Value
 
-_WHITESPACE = " \t"
-_ASCII_DIGITS = "0123456789"
 _DIGIT_TEXT = tuple(str(d) for d in range(BASE))
 _DIGIT_VALUE = {text: d for d, text in enumerate(_DIGIT_TEXT)}
 _LEAF = 5  # format writes blocks of 2**_LEAF digits with a short loop
@@ -106,60 +108,76 @@ _set_semicolon_index = Transliteration.semicolon_index.__set__
 _set_raw = Transliteration.raw.__set__
 
 
+@cache
+def _patterns() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
+    """The scanner's patterns, compiled on first use: a run of blanks, one
+    digit field with the comma after it, and well-formed fields each with its comma."""
+    return (
+        re.compile(r"[ \t]*"),
+        re.compile(r"[ \t]*([0-9]*)[ \t]*(,?)"),
+        re.compile(r"(?:[ \t]*[1-5]?[0-9][ \t]*,)*"),
+    )
+
+
 def _skip_whitespace(text: str, i: int) -> int:
-    while i < len(text) and text[i] in _WHITESPACE:
-        i += 1
-    return i
+    return _patterns()[0].match(text, i).end()
 
 
 def _scan_digits(text: str, i: int, out: list[int]) -> int:
-    """Scan ``digit (',' digit)*`` starting at i; return the next index."""
+    """Scan ``digit (',' digit)*`` starting at i; return the next index.
+
+    The well-formed fields that a comma follows are matched as one run
+    and looked up together.  The fields after them are read one at a
+    time, which places any fault.
+    """
+    _, one_field, fields = _patterns()
+    run = fields.match(text, i)
+    tokens = run[0].replace(" ", "").replace("\t", "").split(",")
+    out.extend(map(_DIGIT_VALUE.__getitem__, tokens[:-1]))  # the last is "", after a comma
+    i = run.end()
     while True:
-        i = _skip_whitespace(text, i)
-        start = i
-        while i < len(text) and text[i] in _ASCII_DIGITS:
-            i += 1
-        if i == start:
-            raise ParseError("expected a digit", start)
-        token = text[start:i]
-        if len(token) > 1 and token[0] == "0":
-            raise ParseError(f"zero-padded digit {token!r}", start)
-        value = int(token)
-        if value >= BASE:
-            raise DigitRangeError(value, start)
+        field = one_field.match(text, i)
+        token, start = field[1], field.start(1)
+        value = _DIGIT_VALUE.get(token)
+        if value is None:
+            if not token:
+                raise ParseError("expected a digit", start)
+            if token[0] == "0":
+                raise ParseError(f"zero-padded digit {token!r}", start)
+            raise DigitRangeError(int(token), start)
         out.append(value)
-        i = _skip_whitespace(text, i)
-        if i < len(text) and text[i] == ",":
-            i += 1
-            continue
-        return i
+        i = field.end()
+        if not field[2]:
+            return i
 
 
 def parse(text: str) -> Transliteration:
     """Tokenize one numeral, reporting the exact spot of any fault."""
-    if " " not in text and "\t" not in text:
-        whole, semicolon, fraction = text.partition(";")
-        if not semicolon:
-            tokens, semicolon_index = whole.split(","), None
+    whole, semicolon, fraction = text.partition(";")
+    if not semicolon:
+        tokens, semicolon_index = whole.split(","), None
+    else:
+        tokens = whole.split(",") if whole else []  # ";45" has no whole part
+        semicolon_index = len(tokens)
+        tokens += fraction.split(",")
+    # A blank, a second semicolon or any other stray character leaves its
+    # token outside the 60 spellings, so the lookup misses.
+    try:
+        if len(tokens) == 1:
+            digits = (_DIGIT_VALUE[tokens[0]],)
         else:
-            tokens = whole.split(",") if whole else []  # ";45" has no whole part
-            semicolon_index = len(tokens)
-            tokens += fraction.split(",")
-        try:
-            digits = tuple(map(_DIGIT_VALUE.__getitem__, tokens))
-        except KeyError:
-            pass  # a malformed token: the scanner finds and reports it
-        else:
-            # Every digit is one of the 60 spellings and the semicolon sits
-            # between tokens, so only a leading zero needs the checks.
-            if digits[0] or semicolon_index == 1:
-                return Transliteration._canonical(digits, semicolon_index, text)
-            return Transliteration(digits, semicolon_index, text)
-    return _scan(text)
+            digits = itemgetter(*tokens)(_DIGIT_VALUE)
+    except KeyError:
+        return _scan(text)  # a malformed token: the scanner finds and reports it
+    # Every digit is one of the 60 spellings and the semicolon sits
+    # between tokens, so only a leading zero needs the checks.
+    if digits[0] or semicolon_index == 1:
+        return Transliteration._canonical(digits, semicolon_index, text)
+    return Transliteration(digits, semicolon_index, text)
 
 
 def _scan(text: str) -> Transliteration:
-    """Tokenize character by character; the fault positions come from here."""
+    """Tokenize field by field; the fault positions come from here."""
     digits: list[int] = []
     semicolon_index: int | None = None
     i = _skip_whitespace(text, 0)

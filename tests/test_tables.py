@@ -1,14 +1,19 @@
 """Table generation and structural verification."""
 
 import hashlib
+import itertools
+import random
+import re
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sexagesimal import translit
+from sexagesimal import tables, translit
 from sexagesimal.core import FloatingSex, SexNumber
-from sexagesimal.regular import IrregularError, reciprocal
+from sexagesimal.regular import IrregularError, is_reciprocal_pair, reciprocal
 from sexagesimal.tables import (
     DOUBLING_BAD,
     DOUBLING_OK,
@@ -17,6 +22,7 @@ from sexagesimal.tables import (
     PAIR_BAD,
     PAIR_OK,
     PARSE_ERROR,
+    Finding,
     TableRow,
     generate_doubling,
     generate_standard,
@@ -236,6 +242,197 @@ class TestVerifyTable:
             verify_table([], mode="strict")
 
 
+def packed_oracle(mantissa):
+    """A mantissa's base-60 digits, one per byte, from one division per digit."""
+    out = []
+    while mantissa:
+        mantissa, d = divmod(mantissa, 60)
+        out.append(d)
+    return int.from_bytes(bytes(out[::-1]), "big")
+
+
+def numerals_from(digits, semicolon_index):
+    """The numeral of these digits with the semicolon before semicolon_index, if any."""
+    if digits[0] == 0 and len(digits) > 1 and semicolon_index not in (0, 1):
+        digits = [1, *digits[1:]]  # keep the leading-zero rule
+    return translit.Transliteration(tuple(digits), semicolon_index, "raw")
+
+
+class TestPackedChainSteps:
+    """Doubling and halving on packed digits against FloatingSex.double and SexNumber.halve."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0", "0;0", "0;0,0", "1,0,0", "30", "1,30", "59", "59,59", "0;30", "0;59", ";0,45",
+         ";0,0,30,0", "1;0", "30,0;0", "2,0;30,0", "10,12;45", "0;6", "29,59,30"],
+    )
+    def test_explicit_cases(self, text):
+        self.check(translit.parse(text))
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129])
+    def test_byte_and_word_boundaries(self, length):
+        # All 59s carry out of every place; 30s and 31s halve into every place.
+        for fill, last in itertools.product([59, 30, 31], [1, 2, 29, 30, 31, 58, 59]):
+            digits = [fill] * (length - 1) + [last]
+            for semicolon_index in (None, 0, 1, length):
+                self.check(numerals_from(digits, semicolon_index))
+
+    @given(
+        st.lists(st.sampled_from([0, 0, 1, 29, 30, 31, 58, 59]) | st.integers(0, 59),
+                 min_size=1, max_size=300),
+        st.data(),
+    )
+    def test_any_digits(self, digits, data):
+        semicolon_index = data.draw(st.none() | st.integers(0, len(digits)))
+        self.check(numerals_from(digits, semicolon_index))
+
+    @staticmethod
+    def check(numeral):
+        absolute = translit.to_number(numeral, "absolute")
+        packed = tables._packed(numeral, "absolute")
+        assert packed == (packed_oracle(absolute.mantissa), absolute.exponent)
+        half = absolute.halve()
+        assert tables._halve(packed) == (packed_oracle(half.mantissa), half.exponent)
+        if absolute:
+            floating = translit.to_number(numeral, "floating")
+            packed = tables._packed(numeral, "floating")
+            assert packed == packed_oracle(floating.mantissa)
+            assert tables._double(packed) == packed_oracle(floating.double().mantissa)
+        else:
+            with pytest.raises(ValueError, match="all-zero numeral has no floating value"):
+                tables._packed(numeral, "floating")
+
+
+def reference_verify_table(rows, mode):
+    """The integer loop that verify_table must agree with: every cell
+    converted to its number, every pair and chain step computed on numbers."""
+    counts = Counter()
+    row_findings, chain_findings = [], []
+
+    def record(findings, holds, ok_kind, bad_kind, index, message, *args):
+        if holds:
+            counts[ok_kind] += 1
+        else:
+            counts[bad_kind] += 1
+            findings.append(Finding(bad_kind, index, message.format(*args)))
+
+    def parse_cell(index, field, text, reading):
+        try:
+            return translit.to_number(translit.parse(text), reading)
+        except ValueError as exc:
+            counts[PARSE_ERROR] += 1
+            row_findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
+            return None
+
+    prev_index, prev_value, prev_rec = 0, None, None
+    for index, value_text, reciprocal_text in rows:
+        value = parse_cell(index, "value", value_text, "floating")
+        rec = parse_cell(index, "reciprocal", reciprocal_text, "absolute")
+        if value is not None and rec is not None:
+            if rec and is_reciprocal_pair(value, rec.to_floating()):
+                counts[PAIR_OK] += 1
+            else:
+                counts[PAIR_BAD] += 1
+                pair = f"{value_text.strip()} and {reciprocal_text.strip()}"
+                row_findings.append(Finding(PAIR_BAD, index, f"{pair} are not a reciprocal pair"))
+        if mode == "doubling":
+            if prev_value is not None and value is not None:
+                record(
+                    chain_findings, value == prev_value.double(), DOUBLING_OK, DOUBLING_BAD,
+                    index, "value is not the double of row {}'s", prev_index,
+                )
+            if prev_rec is not None and rec is not None:
+                record(
+                    chain_findings, rec == prev_rec.halve(), HALVING_OK, HALVING_BAD,
+                    index, "reciprocal is not half of row {}'s", prev_index,
+                )
+        prev_index, prev_value, prev_rec = index, value, rec
+    return tuple(row_findings + chain_findings), counts
+
+
+def corrupt_cell(cell, rng):
+    """One random single-symbol corruption of a cell, or the cell made all zeros."""
+    kind = rng.choice(["digit", "separator", "blank", "zeros"])
+    if kind == "zeros":  # every digit 0, separators kept, or the lone digit 0
+        return rng.choice([re.sub("[0-9]+", "0", cell), "0"])
+    places = [p for p, ch in enumerate(cell) if (ch in ",;") == (kind == "separator")]
+    if not places:
+        return cell
+    p = rng.choice(places)
+    if kind == "digit":
+        new = rng.choice([d for d in "0123456789" if d != cell[p]])
+    elif kind == "separator":
+        new = ";" if cell[p] == "," else ","
+    else:
+        new = " "
+    return cell[:p] + new + cell[p + 1 :]
+
+
+def corrupted_rows(seed, anchor, rng):
+    rows = list(parse_tsv(table_tsv(generate_doubling(seed, 300, anchor))))
+    last = len(rows) - 1
+    picked = rng.sample(range(last + 1), 12) + [0, last]
+    start = rng.randrange(last)
+    picked += [start, start + 1]  # two adjacent rows
+    for i in picked:
+        index, value, rec = rows[i]
+        column = rng.randrange(2)
+        cells = [value, rec]
+        cells[column] = corrupt_cell(cells[column], rng)
+        rows[i] = (index, *cells)
+    return rows
+
+
+class TestDoublingModeMatchesTheIntegerLoop:
+    """Packed chain checks and proved pairs give the integer loop's findings and counts."""
+
+    def test_golden_table(self, golden_rows):
+        for mode in ("doubling", "pairs"):
+            report = verify_table(golden_rows, mode)
+            assert (report.findings, report.counts) == reference_verify_table(golden_rows, mode)
+
+    @pytest.mark.parametrize("seed", [FloatingSex(10), FloatingSex(81)])  # 81 is 1,21
+    @pytest.mark.parametrize("anchor", [-2, 0, 3])
+    @pytest.mark.parametrize("trial", range(4))
+    def test_corrupted_tables(self, seed, anchor, trial):
+        rng = random.Random(f"{seed.mantissa}:{anchor}:{trial}")
+        rows = corrupted_rows(seed, anchor, rng)
+        for mode in ("doubling", "pairs"):
+            report = verify_table(rows, mode)
+            assert (report.findings, report.counts) == reference_verify_table(rows, mode)
+            assert not report.ok
+
+    def test_a_chain_from_a_bad_pair_stays_bad(self):
+        # Every row doubles and halves the one before, but 10 * 7 is no power of 60.
+        rows = list(parse_tsv(table_tsv(
+            TableRow(i + 1, FloatingSex(10 << i), SexNumber(7 * 30**i, -i - 1)) for i in range(40)
+        )))
+        report = verify_table(rows, "doubling")
+        assert (report.findings, report.counts) == reference_verify_table(rows, "doubling")
+        assert report.count(PAIR_BAD) == 40
+        assert report.count(DOUBLING_OK) == report.count(HALVING_OK) == 39
+
+    def test_clean_table_proves_pairs_from_row_1(self, monkeypatch):
+        rows = list(parse_tsv(table_tsv(generate_doubling(10, 1000))))
+        converted, pairs = [], []
+
+        def to_number(numeral, reading):
+            converted.append(numeral.raw)
+            return real_to_number(numeral, reading)
+
+        def counting_pair(x, y):
+            pairs.append((x, y))
+            return is_reciprocal_pair(x, y)
+
+        real_to_number = translit.to_number
+        monkeypatch.setattr(translit, "to_number", to_number)
+        monkeypatch.setattr(tables, "is_reciprocal_pair", counting_pair)
+        report = verify_table(rows, "doubling")
+        assert report.ok and report.count(PAIR_OK) == 1000
+        assert len(pairs) == 1
+        assert sorted(converted) == sorted(rows[0][1:])
+
+
 class TestTsv:
     def test_file_shape(self):
         text = "".join(table_tsv(generate_doubling(10, 2)))
@@ -269,6 +466,22 @@ class TestTsv:
     def test_structural_faults_raise(self, text):
         with pytest.raises(ValueError):
             list(parse_tsv(text))
+
+    def test_index_over_the_int_str_limit_names_its_line(self):
+        set_limit = getattr(sys, "set_int_max_str_digits", None)
+        if set_limit is None:
+            pytest.skip("this interpreter has no int/str digit limit")
+        before = sys.get_int_max_str_digits()
+        set_limit(4300)  # the interpreter's default
+        try:
+            with pytest.raises(ValueError, match="^line 1: index of 5000 digits"):
+                list(parse_tsv("1" * 5000 + "\t10\t6\n"))
+            rows = parse_tsv("1\t10\t0;6\n" + "2" * 4301 + "\t20\t0;3\n")
+            assert next(rows) == (1, "10", "0;6")
+            with pytest.raises(ValueError, match="^line 2: "):
+                next(rows)
+        finally:
+            set_limit(before)
 
     def test_carriage_return_names_its_line(self):
         with pytest.raises(ValueError, match="line 2"):

@@ -256,6 +256,90 @@ class TestLookupAgreesWithScanner:
         assert outcome(parse, text) == outcome(translit._scan, text)
 
 
+def reference_scan(text):
+    """A scanner that walks the text one character at a time: the reference."""
+
+    def skip_blanks(i):
+        while i < len(text) and text[i] in " \t":
+            i += 1
+        return i
+
+    def scan_digits(i, out):
+        while True:
+            i = skip_blanks(i)
+            start = i
+            while i < len(text) and text[i] in "0123456789":
+                i += 1
+            if i == start:
+                raise ParseError("expected a digit", start)
+            token = text[start:i]
+            if len(token) > 1 and token[0] == "0":
+                raise ParseError(f"zero-padded digit {token!r}", start)
+            if int(token) >= 60:
+                raise DigitRangeError(int(token), start)
+            out.append(int(token))
+            i = skip_blanks(i)
+            if i < len(text) and text[i] == ",":
+                i += 1
+                continue
+            return i
+
+    digits, semicolon_index = [], None
+    i = skip_blanks(0)
+    if i == len(text):
+        raise ParseError("empty numeral", i)
+    if text[i] == ";":
+        semicolon_index = 0
+        i = scan_digits(i + 1, digits)
+    else:
+        i = scan_digits(i, digits)
+        if i < len(text) and text[i] == ";":
+            semicolon_index = len(digits)
+            i = scan_digits(i + 1, digits)
+    if i < len(text):
+        if text[i] == ";":
+            raise ParseError("more than one semicolon", i)
+        raise ParseError(f"unexpected character {text[i]!r}", i)
+    return Transliteration(tuple(digits), semicolon_index, text)
+
+
+def long_numerals():
+    """Numerals of 1,511 digits, spelled well and with one fault each."""
+    rng = random.Random(1511)
+    tokens = [str(rng.randrange(1, 60))] + [str(rng.randrange(60)) for _ in range(1510)]
+    for fault in ["75", "05", "", "x", " 7 ", "1;2", "\t"]:
+        yield ",".join(tokens[:1000] + [fault] + tokens[1001:])
+    yield ",".join(tokens)
+    yield " , ".join(tokens) + " "
+    yield "\t,".join(tokens[:700]) + ";" + ",\t".join(tokens[700:])
+
+
+class TestScannerAgreesWithTheCharacterReference:
+    """The scanner skips runs of blanks and digits at once; results and faults stay the same."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["05", "60", "0,5", ";0,45", "0;6", "1;2;3", ",5", ";", "", "  0,5", " 1 , 2 ; 3 ",
+         "10,12;45", "0", "59,0", "1;", "1,,2", "١", "x", "-5", "1;2,60", "7;05", "1 2",
+         "1,\t", "12,345", "1, 06", "00", "5,9,", "5, ,9", "59 ,59;59 , 0"],
+    )
+    def test_explicit_cases(self, text):
+        assert outcome(translit._scan, text) == outcome(reference_scan, text)
+
+    @pytest.mark.parametrize("text", list(long_numerals()))
+    def test_long_numerals(self, text):
+        assert outcome(translit._scan, text) == outcome(reference_scan, text)
+        assert outcome(parse, text) == outcome(reference_scan, text)
+
+    @given(st.text(alphabet="0123456789,; \t١x-", max_size=60))
+    def test_any_text(self, text):
+        assert outcome(translit._scan, text) == outcome(reference_scan, text)
+
+    @given(numeral_texts)
+    def test_near_numerals(self, text):
+        assert outcome(translit._scan, text) == outcome(reference_scan, text)
+
+
 def digits_oracle(mantissa):
     # One division by 60 per digit: the loop that divide and conquer replaced.
     out = []
