@@ -16,6 +16,9 @@ from __future__ import annotations
 from functools import total_ordering
 
 BASE = 60
+# An int of at most this many bits has at most 603 decimal digits, fewer than
+# the 640 below which no int/str limit can be set; repr writes longer ones in hex.
+_REPR_BITS = 2000
 
 
 def _remove_factor(n: int, p: int) -> tuple[int, int]:
@@ -52,6 +55,14 @@ def _remove_factor(n: int, p: int) -> tuple[int, int]:
     return n, k
 
 
+def _literal(field: object) -> str:
+    """repr of a field, an int longer than _REPR_BITS bits as a 0x literal, so
+    that no setting of the int/str limit changes the text or makes it raise."""
+    if type(field) is int and field.bit_length() > _REPR_BITS:
+        return hex(field)
+    return repr(field)
+
+
 class _Value:
     """Immutable fields in ``__slots__``, compared, hashed and printed field by field."""
 
@@ -67,7 +78,7 @@ class _Value:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_literal(getattr(self, name))}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copies and unpickling go through the checking __init__

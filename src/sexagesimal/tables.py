@@ -23,12 +23,23 @@ The table path streams, so memory does not grow with the row count:
 What ``verify_table`` converts depends on the mode.  In pairs mode
 every cell becomes its number and every row's pair is computed.  In
 doubling mode the chain checks compare cells on their digits, packed
-one per byte into an int and doubled or halved in place, so no chain
-check converts base 60 to binary.  A row's two cells become numbers
-only when its pair does not follow from the row before: if row i-1 is
-a reciprocal pair and row i doubles its value and halves its
-reciprocal, row i is one too, as (2x)(y/2) = xy.  A clean table
-converts row 1 alone.
+one per byte into an int (``translit.Digits``) and doubled or halved
+in place, so no chain check converts base 60 to binary.  A row's two
+cells become numbers only when its pair does not follow from the row
+before: if row i-1 is a reciprocal pair and row i doubles its value
+and halves its reciprocal, row i is one too, as (2x)(y/2) = xy.  A
+clean table converts row 1 alone.
+
+``table_tsv`` writes the same way.  A row whose value is the previous
+row's doubled and whose reciprocal is the previous row's halved is
+spelled from the previous row's digits, doubled and halved in packed
+form, and rendered by ``translit.format`` without a base-60
+conversion; only the first row of such a run is spelled from its
+values and read back into packed digits.  The writer decides this from
+each row's own mantissas, not from where the row came from, so a row
+that breaks the chain is spelled from its values, never from a
+prediction; the packed steps are tested against ``format`` of every
+row's binary values, which shares no code with them.
 
 Table file format (bit-exact): UTF-8, one row per line, three
 TAB-separated fields ``index<TAB>value<TAB>reciprocal``, every line
@@ -43,6 +54,7 @@ from typing import Iterable, Iterator, NamedTuple
 from . import translit
 from .core import BASE, FloatingSex, SexNumber
 from .regular import _odd_regulars, _reciprocal_power, invert, is_reciprocal_pair, regular_numbers
+from .translit import Digits
 
 PAIR_OK = "PAIR_OK"
 PAIR_BAD = "PAIR_BAD"
@@ -221,25 +233,25 @@ def _is_pair(value: FloatingSex, rec: SexNumber) -> bool:
     return bool(rec) and is_reciprocal_pair(value, rec.to_floating())
 
 
-def _packed(numeral: translit.Transliteration, reading: str) -> int | tuple[int, int]:
+def _packed(numeral: translit.Transliteration, reading: str) -> Digits:
     """A cell's value as its digits packed one per byte, trailing zero digits cut off.
 
-    The floating reading is the packed int alone, the absolute reading
-    the pair (packed, exponent); both are canonical, so they are equal
-    exactly when the numbers are.  An all-zero floating cell raises
-    to_number's error.
+    The floating reading keeps no exponent, the absolute reading the one
+    its semicolon gives; both are canonical, so they are equal exactly
+    when the numbers are.  An all-zero floating cell raises to_number's
+    error.
     """
     digits = numeral.digits
     packed = int.from_bytes(bytes(digits), "big")
     if not packed:
         translit.to_number(numeral, reading)  # all zero: the floating reading raises here
-        return 0, 0
+        return Digits(0, 0)
     zeros = ((packed & -packed).bit_length() - 1) >> 3
     packed >>= zeros << 3
     if reading == "floating":
-        return packed
+        return Digits(packed)
     point = len(digits) if numeral.semicolon_index is None else numeral.semicolon_index
-    return packed, point - len(digits) + zeros
+    return Digits(packed, point - len(digits) + zeros)
 
 
 def _ones(packed: int) -> int:
@@ -247,19 +259,20 @@ def _ones(packed: int) -> int:
     return int.from_bytes(b"\x01" * ((packed.bit_length() + 7) >> 3), "big")
 
 
-def _double(packed: int) -> int:
-    """Packed floating digits of twice the value: each digit d becomes 2d,
+def _double(value: Digits) -> Digits:
+    """Floating digits of twice the value: each digit d becomes 2d,
     less 60 with a carry of 1 into the next place where 2d >= 60."""
+    packed = value.packed
     ones = _ones(packed)
     doubled = packed << 1  # every byte 2d <= 118, so 2d + 0x44 sets bit 7 just when 2d >= 60
     carries = ((doubled + 0x44 * ones) & (ones << 7)) >> 7
     doubled += (carries << 8) - 60 * carries
     # A last digit of 30 leaves 0 in its place; the carried 1 above it is not 0.
-    return doubled if doubled & 0xFF else doubled >> 8
+    return Digits(doubled if doubled & 0xFF else doubled >> 8)
 
 
-def _halve(rec: tuple[int, int]) -> tuple[int, int]:
-    """Packed absolute digits of half the value: each digit d leaves d >> 1
+def _halve(rec: Digits) -> Digits:
+    """Absolute digits of half the value: each digit d leaves d >> 1
     one place up and 30 * (d & 1) in its own place, one place lower."""
     packed, exponent = rec
     if not packed:
@@ -267,16 +280,44 @@ def _halve(rec: tuple[int, int]) -> tuple[int, int]:
     odd = packed & _ones(packed)
     halved = ((packed - odd) << 7) + 30 * odd  # (packed - odd) >> 1, one byte up
     # An even last digit leaves 0 in its place; the half of it above is not 0.
-    return (halved, exponent - 1) if halved & 0xFF else (halved >> 8, exponent)
+    return Digits(halved, exponent - 1) if halved & 0xFF else Digits(halved >> 8, exponent)
 
 
 def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:
     """Each row as one line of the file format, LF included, in row order.
 
-    Each value is written in its own style, floating or anchored.
+    Each value is written in its own style, floating or anchored.  A row
+    whose floating value is exactly the previous row's doubled and whose
+    anchored reciprocal is exactly the previous row's halved is spelled
+    from the previous row's packed digits, stepped by ``_double`` and
+    ``_halve``; the row's own mantissas decide that, so no row is taken
+    to be a double on trust.  Every other row is spelled from its values.
+    The first row of a chain is read back from its own text into packed
+    digits, so a doubling table converts from binary on row 1 alone.
     """
-    for row in rows:
-        yield f"{row.index}\t{translit.format(row.value)}\t{translit.format(row.reciprocal)}\n"
+    double = half = None  # the previous row's value doubled and reciprocal halved
+    digits = None  # the previous row's two cells as Digits, once a row has chained onto it
+    for index, value, rec in rows:
+        if type(rec) is SexNumber and type(value) is FloatingSex:
+            m, r, e = value.mantissa, rec.mantissa, rec.exponent
+            if m != double or (r, e) != half:
+                digits = None
+            else:
+                if digits is None:  # the row before was spelled from its values
+                    digits = (
+                        _packed(translit.parse(value_text), "floating"),
+                        _packed(translit.parse(rec_text), "absolute"),
+                    )
+                digits = _double(digits[0]), _halve(digits[1])
+                value, rec = digits
+            # Canonical results: 2m has a factor of 60 only when m % 60 == 30,
+            # and r / 2 never has one.
+            double = m // 30 if m % BASE == 30 else m << 1
+            half = (r >> 1, e) if r & 1 == 0 else (30 * r, e - 1)
+        else:
+            double = half = None
+        value_text, rec_text = translit.format(value), translit.format(rec)
+        yield f"{index}\t{value_text}\t{rec_text}\n"
 
 
 def parse_tsv(

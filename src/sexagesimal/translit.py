@@ -28,6 +28,14 @@ blocks of 32 digits two per step from a table of the 3,600 spellings
 "h,l"; ``to_number`` combines all digits pairwise, level by level, in
 one packed integer.  Either way the Python-level work per digit no
 longer grows with the length, only a few big-integer steps per level.
+
+Digits that are already base 60 need no conversion at all.  ``Digits``
+holds them packed one per byte into one int, as the table writer and
+the verifier step them, and ``format`` renders them with one renderer:
+``bytes.translate`` turns each digit d into the packed-decimal byte
+``(d // 10) << 4 | d % 10``, ``bytes.hex(",")`` writes every byte as
+its two decimal characters, and cutting the 0 after each comma and at
+the start removes the padding.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import re
 from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
-from typing import Literal, overload
+from typing import Literal, NamedTuple, overload
 
 from .core import BASE, FloatingSex, SexNumber, _Value
 
@@ -48,6 +56,10 @@ _PAIR = BASE * BASE
 _POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squared on demand
 _MASKS: dict[int, list[int]] = {}  # levels -> to_number's field mask at each level
 _SHORT = 128  # to_number folds this many digits or fewer one by one
+# Digit d as the packed-decimal byte 0xTU (T = d // 10, U = d % 10), so that
+# bytes.hex writes it as two decimal characters; a byte of 60 or more as 0xFF,
+# which writes "ff" and so never passes for a digit.
+_BCD = bytes([d // 10 << 4 | d % 10 for d in range(BASE)]) + b"\xff" * (256 - BASE)
 
 
 class ParseError(ValueError):
@@ -101,6 +113,19 @@ class Transliteration(_Value):
         _set_semicolon_index(self, semicolon_index)
         _set_raw(self, raw)
         return self
+
+
+class Digits(NamedTuple):
+    """Base-60 digits packed one per byte into one int, most significant first.
+
+    The first and the last digit are not zero.  With ``exponent`` None
+    the digits are a floating digit string; with an int they are the
+    value m * 60**exponent, m the integer they spell, as a SexNumber's
+    (mantissa, exponent).  Zero is ``Digits(0, 0)``.
+    """
+
+    packed: int
+    exponent: int | None = None
 
 
 _set_digits = Transliteration.digits.__set__
@@ -294,7 +319,37 @@ def _text_of(mantissa: int) -> str:
     return ",".join(out)
 
 
-def format(value: SexNumber | FloatingSex) -> str:
+def _spell(block: bytes) -> str:
+    """Digits given one per byte, comma-separated and unpadded; block is not empty.
+
+    Each digit becomes its packed-decimal byte and ``hex`` writes them
+    two characters each; cutting the 0 after every comma and at the
+    start leaves the digits below 10 with one character.
+    """
+    text = block.translate(_BCD).hex(",").replace(",0", ",")
+    return text[1:] if text[0] == "0" else text
+
+
+def _render(value: Digits) -> str:
+    """The text of packed digits, as format writes the value they denote."""
+    packed, exponent = value
+    if not packed:
+        if exponent is None:
+            raise ValueError("an all-zero digit string has no floating value")
+        return "0"
+    block = packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
+    if exponent is None:
+        return _spell(block)
+    if exponent >= 0:
+        return _spell(block) + ",0" * exponent
+    point = len(block) + exponent  # digits before the semicolon
+    if point <= 0:  # a pure fraction: its zeros after the point, and one for "0;"
+        block = bytes(1 - point) + block
+        point = 1
+    return _spell(block[:point]) + ";" + _spell(block[point:])
+
+
+def format(value: SexNumber | FloatingSex | Digits) -> str:
     """Render a value; ``parse``/``to_number`` of the result round-trips.
 
     A SexNumber is written anchored: one semicolon marks the units
@@ -302,9 +357,14 @@ def format(value: SexNumber | FloatingSex) -> str:
     digits are written out ("0;0,45").  A FloatingSex is written as the
     bare canonical digit string, no semicolon, no leading zeros; the
     floating text of a SexNumber x is ``format(x.to_floating())``.
+    ``Digits`` are written as the value they denote, anchored or
+    floating, with no base-60 conversion: two whole-string calls,
+    ``bytes.translate`` and ``bytes.hex``, spell all the digits.
     """
     if isinstance(value, FloatingSex):
         return _text_of(value.mantissa)
+    if isinstance(value, Digits):
+        return _render(value)
     if value.mantissa == 0:
         return "0"
     if value.exponent >= 0:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,31 @@ class TestValueObjects:
         assert SexNumber(1) != (1, 0)
         with pytest.raises(TypeError):
             FloatingSex(1) < FloatingSex(2)
+
+    def test_repr_of_long_values_ignores_the_int_str_limit(self):
+        # Decimal up to 2,000 bits, hex past them: the same text at any limit, never an error.
+        long, short = 7**6000, 2**2000 - 1
+        expected = {
+            SexNumber(long, -3): f"SexNumber(mantissa={long:#x}, exponent=-3)",
+            FloatingSex(long): f"FloatingSex(mantissa={long:#x})",
+            FloatingSex(short): f"FloatingSex(mantissa={short})",
+        }
+
+        def check():
+            for value, text in expected.items():
+                assert repr(value) == text
+                assert eval(text) == value
+
+        check()  # at the limit the tests run with
+        if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+            return
+        original = sys.get_int_max_str_digits()
+        try:
+            for limit in (640, 4300, 0):
+                sys.set_int_max_str_digits(limit)
+                check()
+        finally:
+            sys.set_int_max_str_digits(original)
 
 
 def same_fields(a, b):

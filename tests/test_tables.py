@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sexagesimal import tables, translit
 from sexagesimal.core import FloatingSex, SexNumber
 from sexagesimal.regular import IrregularError, is_reciprocal_pair, reciprocal
+from sexagesimal.translit import Digits
 from sexagesimal.tables import (
     DOUBLING_BAD,
     DOUBLING_OK,
@@ -296,8 +297,8 @@ class TestPackedChainSteps:
         if absolute:
             floating = translit.to_number(numeral, "floating")
             packed = tables._packed(numeral, "floating")
-            assert packed == packed_oracle(floating.mantissa)
-            assert tables._double(packed) == packed_oracle(floating.double().mantissa)
+            assert packed == Digits(packed_oracle(floating.mantissa))
+            assert tables._double(packed) == Digits(packed_oracle(floating.double().mantissa))
         else:
             with pytest.raises(ValueError, match="all-zero numeral has no floating value"):
                 tables._packed(numeral, "floating")
@@ -531,3 +532,54 @@ class TestTsv:
         message = f"line {line}: 'utf-8' codec can't decode byte 0xff in column {column}"
         with pytest.raises(ValueError, match=message):
             list(parse_tsv(chunks))
+
+
+def tsv_oracle(rows):
+    """Each cell spelled by format from its binary value: no packed digits, no chain."""
+    return "".join(
+        f"{row.index}\t{translit.format(row.value)}\t{translit.format(row.reciprocal)}\n"
+        for row in rows
+    )
+
+
+class TestWriterAgreesWithFormatOfEachValue:
+    """table_tsv spells chained rows from packed digits; each must read as its value does."""
+
+    @staticmethod
+    def written(rows, monkeypatch):
+        """table_tsv's text, and how many rows it stepped with _double."""
+        steps = []
+        double = tables._double
+        monkeypatch.setattr(tables, "_double", lambda value: steps.append(1) or double(value))
+        return "".join(table_tsv(rows)), len(steps)
+
+    @pytest.mark.parametrize("anchor", range(-3, 4))
+    @pytest.mark.parametrize("seed", ["10", "1,21", "7,30"])
+    def test_generated_tables(self, seed, anchor, monkeypatch):
+        seed_value = translit.to_number(translit.parse(seed), "floating")
+        rows = list(generate_doubling(seed_value, 300, anchor))
+        text, steps = self.written(rows, monkeypatch)
+        assert text == tsv_oracle(rows)
+        assert steps == 299  # every row after the first came from the chain
+
+    def test_rows_that_break_the_chain(self, monkeypatch):
+        rows = list(generate_doubling(15, 60, anchor_exponent=-1))
+        rows[5] = rows[5]._replace(value=FloatingSex(7))  # not the double, the half kept
+        rows[10] = TableRow(11, FloatingSex(7), SexNumber(1))  # neither, nor a pair
+        # The value doubled, the reciprocal halved in mantissa but not in place.
+        rows[20] = rows[20]._replace(reciprocal=SexNumber(rows[20].reciprocal.mantissa, 5))
+        rows[30] = rows[30]._replace(reciprocal=rows[30].reciprocal.to_floating())  # floating
+        rows[40] = rows[40]._replace(value=rows[40].value.anchor(2))  # an anchored value
+        # A zero reciprocal halves to zero, so row 51 chains onto row 50.
+        rows[49] = rows[49]._replace(reciprocal=SexNumber(0))
+        rows[50] = rows[50]._replace(reciprocal=SexNumber(0))
+        text, steps = self.written(rows, monkeypatch)
+        assert text == tsv_oracle(rows)
+        # Rows 6, 7, 11, 12, 21, 22, 31, 32, 41, 42, 50 and 52 do not chain.
+        assert steps == 59 - 12
+
+    def test_a_standard_table(self, monkeypatch):
+        rows = generate_standard(10**6)
+        text, steps = self.written(rows, monkeypatch)
+        assert text == tsv_oracle(rows)
+        assert steps == 0

@@ -1,5 +1,6 @@
 """Notation parsing and formatting, including the rejection contract."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from sexagesimal import translit
 from sexagesimal.core import ZERO, FloatingSex, SexNumber
 from sexagesimal.translit import (
     DigitRangeError,
+    Digits,
     ParseError,
     Transliteration,
     parse,
@@ -197,6 +199,62 @@ class TestFormat:
         assert translit.format(SexNumber(20250, -4).to_floating()) == "5,37,30"
         with pytest.raises(ValueError):
             translit.format(ZERO.to_floating())
+
+
+def packed_cases():
+    """(digits, exponent) pairs at the edges of the packed renderer."""
+    heads = [[5], [45], [5, 7], [45, 7], [9, 10], [10, 9, 59]]  # one- and two-digit heads
+    for digits in heads + [[1, 0, 0, 5], [59, 0, 30], [1, 0, 59, 0, 0, 1]]:
+        n = len(digits)
+        # Points after the digits (integers with trailing ,0), inside them, at
+        # their start, and before it (pure fractions with 0;0, ahead).
+        for exponent in (None, 3, 1, 0, -1, 1 - n, -n, -n - 1, -n - 3):
+            yield digits, exponent
+
+
+class TestFormatOfPackedDigits:
+    """format of Digits writes exactly what format of the value they denote writes."""
+
+    def test_zero(self):
+        assert translit.format(Digits(0, 0)) == translit.format(ZERO) == "0"
+        with pytest.raises(ValueError, match="no floating value"):
+            translit.format(Digits(0))
+
+    @pytest.mark.parametrize(("digits", "exponent"), list(packed_cases()))
+    def test_explicit_cases(self, digits, exponent):
+        self.check(digits, exponent)
+
+    @pytest.mark.parametrize(
+        "length", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129]
+    )
+    def test_byte_and_word_boundaries(self, length):
+        # Bytes of 8 bits against the interpreter's 30-bit int words: these
+        # lengths end the digits at many different places inside a word.
+        for fill, last in itertools.product([59, 10, 9, 0], [1, 9, 10, 30, 59]):
+            digits = [last] + [fill] * (length - 2) + [last] if length > 1 else [last]
+            for exponent in (None, 2, 0, -1, -length // 2, -length, -length - 2):
+                self.check(digits, exponent)
+
+    @given(
+        st.lists(st.sampled_from([0, 0, 1, 9, 10, 30, 59]) | st.integers(0, 59),
+                 min_size=1, max_size=300),
+        st.data(),
+    )
+    def test_any_digits(self, digits, data):
+        digits[0] = digits[0] or 1  # packed digits have no leading zero,
+        digits[-1] = digits[-1] or 7  # and no trailing one
+        exponent = data.draw(st.none() | st.integers(-len(digits) - 4, 4))
+        self.check(digits, exponent)
+
+    def test_a_byte_of_60_or_more_is_never_spelled_as_a_digit(self):
+        assert translit.format(Digits(int.from_bytes(bytes([1, 60, 255]), "big"))) == "1,ff,ff"
+
+    @staticmethod
+    def check(digits, exponent):
+        mantissa = value_oracle(digits)
+        value = FloatingSex(mantissa) if exponent is None else SexNumber(mantissa, exponent)
+        packed = Digits(int.from_bytes(bytes(digits), "big"), exponent)
+        assert translit.format(packed) == translit.format(value)
 
 
 class TestRoundTrip:
