@@ -184,8 +184,7 @@ def _replace(path: str, lines: Iterable[str]) -> None:
 
 def _cmd_table_double(args: argparse.Namespace) -> int:
     seed = translit.to_number(translit.parse(args.seed), "floating")
-    table = tables.generate_doubling(seed, args.rows, args.anchor)
-    return _emit(args.output, tables.table_tsv(table))
+    return _emit(args.output, tables.doubling_tsv(seed, args.rows, args.anchor))
 
 
 def _cmd_table_standard(args: argparse.Namespace) -> int:

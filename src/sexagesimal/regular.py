@@ -136,8 +136,11 @@ def solve_linear(a: SexNumber, b: SexNumber) -> SexNumber:
     return SexNumber(b.mantissa // g * r, b.exponent - a.exponent - k)
 
 
-def is_reciprocal_pair(x: FloatingSex, y: FloatingSex) -> bool:
-    """True when the floating product of the two values is 1: it is 60**k == 2**(2k) * 15**k."""
+def is_reciprocal_pair(x: FloatingSex | SexNumber, y: FloatingSex | SexNumber) -> bool:
+    """True when the floating product of the two values is 1: it is 60**k == 2**(2k) * 15**k.
+
+    Only the mantissas are read: either value may be floating or anchored, but not zero.
+    """
     odd, two = _remove_factor(x.mantissa * y.mantissa, 2)
     return not two & 1 and odd == 15 ** (two >> 1)
 

@@ -14,7 +14,7 @@ The table path streams, so memory does not grow with the row count:
 - ``generate_doubling`` returns an iterator of numbered ``TableRow``s
   that keeps only the current row; ``generate_standard`` returns a
   tuple of them, built from the same row generator the CLI streams.
-- ``table_tsv`` yields one file line per row.
+- ``table_tsv`` and ``doubling_tsv`` yield one file line per row.
 - ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from the
   text or from its chunks, holding one chunk of lines at a time.
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
@@ -30,16 +30,13 @@ before: if row i-1 is a reciprocal pair and row i doubles its value
 and halves its reciprocal, row i is one too, as (2x)(y/2) = xy.  A
 clean table converts row 1 alone.
 
-``table_tsv`` writes the same way.  A row whose value is the previous
-row's doubled and whose reciprocal is the previous row's halved is
-spelled from the previous row's digits, doubled and halved in packed
-form, and rendered by ``translit.format`` without a base-60
-conversion; only the first row of such a run is spelled from its
-values and read back into packed digits.  The writer decides this from
-each row's own mantissas, not from where the row came from, so a row
-that breaks the chain is spelled from its values, never from a
-prediction; the packed steps are tested against ``format`` of every
-row's binary values, which shares no code with them.
+``doubling_tsv`` writes a doubling table the way it is defined: row 1
+is spelled from its values and read back into packed digits, and
+every later row is the row before, doubled and halved in packed form
+and rendered by ``translit.format`` without a base-60 conversion, so
+no value is built after row 1.  ``table_tsv`` spells any rows, each
+from its own values.  The packed steps are tested against ``format``
+of every row's binary values, which shares no code with them.
 
 Table file format (bit-exact): UTF-8, one row per line, three
 TAB-separated fields ``index<TAB>value<TAB>reciprocal``, every line
@@ -230,7 +227,7 @@ def verify_table(
 
 def _is_pair(value: FloatingSex, rec: SexNumber) -> bool:
     """Whether the value times the reciprocal is a power of 60; a zero reciprocal is not."""
-    return bool(rec) and is_reciprocal_pair(value, rec.to_floating())
+    return bool(rec) and is_reciprocal_pair(value, rec)
 
 
 def _packed(numeral: translit.Transliteration, reading: str) -> Digits:
@@ -283,41 +280,39 @@ def _halve(rec: Digits) -> Digits:
     return Digits(halved, exponent - 1) if halved & 0xFF else Digits(halved >> 8, exponent)
 
 
+def doubling_tsv(
+    seed: FloatingSex | int, count: int, anchor_exponent: int = 0
+) -> Iterator[str]:
+    """The lines of ``table_tsv(generate_doubling(seed, count, anchor_exponent))``.
+
+    Row 1 is spelled from its values and read back into packed digits;
+    every later row is the row before doubled and halved by ``_double``
+    and ``_halve``, and spelled from those digits, so no row after the
+    first builds a value or converts base 60.  The seed and the count
+    are checked at the call, as generate_doubling checks them.
+    """
+    return _doubling_lines(next(generate_doubling(seed, count, anchor_exponent)), count)
+
+
+def _doubling_lines(first: TableRow, count: int) -> Iterator[str]:
+    value_text, rec_text = translit.format(first.value), translit.format(first.reciprocal)
+    yield f"1\t{value_text}\t{rec_text}\n"
+    value = _packed(translit.parse(value_text), "floating")
+    rec = _packed(translit.parse(rec_text), "absolute")
+    for index in range(2, count + 1):
+        value, rec = _double(value), _halve(rec)
+        yield f"{index}\t{translit.format(value)}\t{translit.format(rec)}\n"
+
+
 def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:
     """Each row as one line of the file format, LF included, in row order.
 
-    Each value is written in its own style, floating or anchored.  A row
-    whose floating value is exactly the previous row's doubled and whose
-    anchored reciprocal is exactly the previous row's halved is spelled
-    from the previous row's packed digits, stepped by ``_double`` and
-    ``_halve``; the row's own mantissas decide that, so no row is taken
-    to be a double on trust.  Every other row is spelled from its values.
-    The first row of a chain is read back from its own text into packed
-    digits, so a doubling table converts from binary on row 1 alone.
+    Each value is spelled from itself by ``translit.format``, in its own
+    style, floating or anchored; nothing is carried from one row to the
+    next.
     """
-    double = half = None  # the previous row's value doubled and reciprocal halved
-    digits = None  # the previous row's two cells as Digits, once a row has chained onto it
     for index, value, rec in rows:
-        if type(rec) is SexNumber and type(value) is FloatingSex:
-            m, r, e = value.mantissa, rec.mantissa, rec.exponent
-            if m != double or (r, e) != half:
-                digits = None
-            else:
-                if digits is None:  # the row before was spelled from its values
-                    digits = (
-                        _packed(translit.parse(value_text), "floating"),
-                        _packed(translit.parse(rec_text), "absolute"),
-                    )
-                digits = _double(digits[0]), _halve(digits[1])
-                value, rec = digits
-            # Canonical results: 2m has a factor of 60 only when m % 60 == 30,
-            # and r / 2 never has one.
-            double = m // 30 if m % BASE == 30 else m << 1
-            half = (r >> 1, e) if r & 1 == 0 else (30 * r, e - 1)
-        else:
-            double = half = None
-        value_text, rec_text = translit.format(value), translit.format(rec)
-        yield f"{index}\t{value_text}\t{rec_text}\n"
+        yield f"{index}\t{translit.format(value)}\t{translit.format(rec)}\n"
 
 
 def parse_tsv(

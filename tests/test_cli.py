@@ -168,6 +168,15 @@ class TestTableCommands:
         assert code == 3
         assert err == "error: [Errno 2] No such file or directory: '/nonexistent-dir/out.tsv'\n"
 
+    def test_irregular_seed_is_reported_before_the_output_is_opened(self, cli):
+        code, out, err = cli(
+            "table", "double", "--seed", "7", "--rows", "5", "-o", "/nonexistent-dir/x.tsv"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: 7 is irregular: no finite reciprocal exists (residue 7 is coprime to 60)\n"
+        )
+
     @staticmethod
     def break_writes_after_half(monkeypatch, error):
         """Make every write through cli's open put down half its text, then raise error."""

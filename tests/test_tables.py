@@ -25,6 +25,7 @@ from sexagesimal.tables import (
     PARSE_ERROR,
     Finding,
     TableRow,
+    doubling_tsv,
     generate_doubling,
     generate_standard,
     parse_tsv,
@@ -125,6 +126,42 @@ class TestGenerateDoubling:
         report = verify_table(rows, mode="doubling")
         assert report.ok
         assert not report.bad()
+
+
+class TestDoublingTsv:
+    """The doubling writer: its arguments checked at the call, no value built after row 1."""
+
+    def test_golden_table(self, golden_text):
+        assert "".join(doubling_tsv(10, 30)) == golden_text
+
+    @pytest.mark.parametrize("seed, count, error", [(7, 5, IrregularError), (10, 0, ValueError)])
+    def test_bad_arguments_raise_at_the_call(self, seed, count, error):
+        with pytest.raises(error):
+            doubling_tsv(seed, count)  # no line is requested
+
+    def test_one_row(self):
+        assert list(doubling_tsv(10, 1, anchor_exponent=1)) == ["1\t10\t0;0,6\n"]
+
+    def test_rows_are_not_doubled_as_values(self, monkeypatch):
+        calls = Counter()
+        for cls, name in ((FloatingSex, "double"), (SexNumber, "halve")):
+            method = getattr(cls, name)
+            counting = lambda self, m=method, n=name: calls.update([n]) or m(self)
+            monkeypatch.setattr(cls, name, counting)
+        text = "".join(doubling_tsv(10, 1000))
+        assert calls == Counter()
+        assert text == "".join(table_tsv(generate_doubling(10, 1000)))
+        assert calls == Counter(double=999, halve=999)  # the counting sees the binary walk
+
+    def test_no_value_is_constructed_while_writing(self, monkeypatch):
+        lines = doubling_tsv(FloatingSex(10), 1000)  # the seed's reciprocal is built here
+        built = []
+        for cls in (FloatingSex, SexNumber):
+            init = cls.__init__
+            counting = lambda self, *args, i=init: built.append(args) or i(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        assert len("".join(lines).splitlines()) == 1000
+        assert built == []
 
 
 class TestGenerateStandard:
@@ -543,22 +580,23 @@ def tsv_oracle(rows):
 
 
 class TestWriterAgreesWithFormatOfEachValue:
-    """table_tsv spells chained rows from packed digits; each must read as its value does."""
+    """doubling_tsv spells every row after the first from packed digits, stepped from
+    the row before, and table_tsv every row from its values; each must read as its value does."""
 
     @staticmethod
-    def written(rows, monkeypatch):
-        """table_tsv's text, and how many rows it stepped with _double."""
+    def written(lines, monkeypatch):
+        """The text of a writer's lines, and how many rows it stepped with _double."""
         steps = []
         double = tables._double
         monkeypatch.setattr(tables, "_double", lambda value: steps.append(1) or double(value))
-        return "".join(table_tsv(rows)), len(steps)
+        return "".join(lines), len(steps)
 
     @pytest.mark.parametrize("anchor", range(-3, 4))
     @pytest.mark.parametrize("seed", ["10", "1,21", "7,30"])
     def test_generated_tables(self, seed, anchor, monkeypatch):
         seed_value = translit.to_number(translit.parse(seed), "floating")
         rows = list(generate_doubling(seed_value, 300, anchor))
-        text, steps = self.written(rows, monkeypatch)
+        text, steps = self.written(doubling_tsv(seed_value, 300, anchor), monkeypatch)
         assert text == tsv_oracle(rows)
         assert steps == 299  # every row after the first came from the chain
 
@@ -570,16 +608,14 @@ class TestWriterAgreesWithFormatOfEachValue:
         rows[20] = rows[20]._replace(reciprocal=SexNumber(rows[20].reciprocal.mantissa, 5))
         rows[30] = rows[30]._replace(reciprocal=rows[30].reciprocal.to_floating())  # floating
         rows[40] = rows[40]._replace(value=rows[40].value.anchor(2))  # an anchored value
-        # A zero reciprocal halves to zero, so row 51 chains onto row 50.
         rows[49] = rows[49]._replace(reciprocal=SexNumber(0))
         rows[50] = rows[50]._replace(reciprocal=SexNumber(0))
-        text, steps = self.written(rows, monkeypatch)
+        text, steps = self.written(table_tsv(rows), monkeypatch)
         assert text == tsv_oracle(rows)
-        # Rows 6, 7, 11, 12, 21, 22, 31, 32, 41, 42, 50 and 52 do not chain.
-        assert steps == 59 - 12
+        assert steps == 0  # table_tsv spells each row from its own values
 
     def test_a_standard_table(self, monkeypatch):
         rows = generate_standard(10**6)
-        text, steps = self.written(rows, monkeypatch)
+        text, steps = self.written(table_tsv(rows), monkeypatch)
         assert text == tsv_oracle(rows)
         assert steps == 0
