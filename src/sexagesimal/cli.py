@@ -199,27 +199,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Printed only now: a structural fault anywhere exits 2 before any output.
     for finding in report.bad():
         print(f"row {finding.row_index}: {finding.kind}: {finding.message}")
-    print(f"pairs: {report.count(tables.PAIR_OK)} ok, {report.count(tables.PAIR_BAD)} bad")
+    print(f"pairs: {report.counts[tables.PAIR_OK]} ok, {report.counts[tables.PAIR_BAD]} bad")
     if args.mode == "doubling":
         print(
-            f"doubling: {report.count(tables.DOUBLING_OK)} ok,"
-            f" {report.count(tables.DOUBLING_BAD)} bad"
+            f"doubling: {report.counts[tables.DOUBLING_OK]} ok,"
+            f" {report.counts[tables.DOUBLING_BAD]} bad"
         )
         print(
-            f"halving: {report.count(tables.HALVING_OK)} ok,"
-            f" {report.count(tables.HALVING_BAD)} bad"
+            f"halving: {report.counts[tables.HALVING_OK]} ok,"
+            f" {report.counts[tables.HALVING_BAD]} bad"
         )
-    parse_errors = report.count(tables.PARSE_ERROR)
+    parse_errors = report.counts[tables.PARSE_ERROR]
     if parse_errors:
         print(f"parse errors: {parse_errors}")
     print(
         f"#RESULT ok={'true' if report.ok else 'false'}"
-        f" pair_ok={report.count(tables.PAIR_OK)}"
-        f" pair_bad={report.count(tables.PAIR_BAD)}"
-        f" doubling_ok={report.count(tables.DOUBLING_OK)}"
-        f" doubling_bad={report.count(tables.DOUBLING_BAD)}"
-        f" halving_ok={report.count(tables.HALVING_OK)}"
-        f" halving_bad={report.count(tables.HALVING_BAD)}"
+        f" pair_ok={report.counts[tables.PAIR_OK]}"
+        f" pair_bad={report.counts[tables.PAIR_BAD]}"
+        f" doubling_ok={report.counts[tables.DOUBLING_OK]}"
+        f" doubling_bad={report.counts[tables.DOUBLING_BAD]}"
+        f" halving_ok={report.counts[tables.HALVING_OK]}"
+        f" halving_bad={report.counts[tables.HALVING_BAD]}"
         f" parse_errors={parse_errors}"
     )
     return EXIT_OK if report.ok else EXIT_DOMAIN

@@ -139,9 +139,13 @@ def solve_linear(a: SexNumber, b: SexNumber) -> SexNumber:
 def is_reciprocal_pair(x: FloatingSex | SexNumber, y: FloatingSex | SexNumber) -> bool:
     """True when the floating product of the two values is 1: it is 60**k == 2**(2k) * 15**k.
 
-    Only the mantissas are read: either value may be floating or anchored, but not zero.
+    Only the mantissas are read: either value may be floating or anchored.
+    Zero has no reciprocal, so a pair with an anchored zero is never one.
     """
-    odd, two = _remove_factor(x.mantissa * y.mantissa, 2)
+    product = x.mantissa * y.mantissa
+    if not product:
+        return False
+    odd, two = _remove_factor(product, 2)
     return not two & 1 and odd == 15 ** (two >> 1)
 
 

@@ -144,9 +144,6 @@ class VerificationReport(NamedTuple):
     def bad(self) -> tuple[Finding, ...]:
         return self.findings
 
-    def count(self, kind: str) -> int:
-        return self.counts[kind]
-
 
 def verify_table(
     rows: Iterable[tuple[int, str, str]], mode: str = "pairs"
@@ -207,12 +204,12 @@ def verify_table(
             if proved:
                 pair = True
             elif doubling:  # value and rec are packed digits, not numbers
-                pair = _is_pair(
+                pair = is_reciprocal_pair(
                     translit.to_number(value_numeral, "floating"),
                     translit.to_number(rec_numeral, "absolute"),
                 )
             else:
-                pair = _is_pair(value, rec)
+                pair = is_reciprocal_pair(value, rec)
             if pair:
                 counts[PAIR_OK] += 1
             else:  # the texts are stripped for the message only
@@ -223,11 +220,6 @@ def verify_table(
                 )
         prev_index, prev_value, prev_rec, prev_pair = index, value, rec, pair
     return VerificationReport(tuple(row_findings + chain_findings), counts)
-
-
-def _is_pair(value: FloatingSex, rec: SexNumber) -> bool:
-    """Whether the value times the reciprocal is a power of 60; a zero reciprocal is not."""
-    return bool(rec) and is_reciprocal_pair(value, rec)
 
 
 def _packed(numeral: translit.Transliteration, reading: str) -> Digits:

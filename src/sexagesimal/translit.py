@@ -31,11 +31,16 @@ longer grows with the length, only a few big-integer steps per level.
 
 Digits that are already base 60 need no conversion at all.  ``Digits``
 holds them packed one per byte into one int, as the table writer and
-the verifier step them, and ``format`` renders them with one renderer:
-``bytes.translate`` turns each digit d into the packed-decimal byte
-``(d // 10) << 4 | d % 10``, ``bytes.hex(",")`` writes every byte as
-its two decimal characters, and cutting the 0 after each comma and at
-the start removes the padding.
+the verifier step them, and ``format`` spells them in two whole-string
+calls: ``bytes.translate`` turns each digit d into the packed-decimal
+byte ``(d // 10) << 4 | d % 10``, ``bytes.hex(",")`` writes every byte
+as its two decimal characters, and cutting the 0 after each comma and
+at the start removes the padding.
+
+Place value is laid out by one rule, after the digits are spelled, for
+a ``SexNumber`` and anchored ``Digits`` alike: an integer gets trailing
+",0"s, a semicolon follows the whole part's digits, and a pure fraction
+gets a "0;" head and the zeros between the point and its first digit.
 """
 
 from __future__ import annotations
@@ -330,23 +335,15 @@ def _spell(block: bytes) -> str:
     return text[1:] if text[0] == "0" else text
 
 
-def _render(value: Digits) -> str:
-    """The text of packed digits, as format writes the value they denote."""
-    packed, exponent = value
-    if not packed:
-        if exponent is None:
-            raise ValueError("an all-zero digit string has no floating value")
-        return "0"
-    block = packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
-    if exponent is None:
-        return _spell(block)
+def _anchored(text: str, places: int, exponent: int) -> str:
+    """``places`` comma-separated digits laid out as the integer they spell times 60**exponent."""
     if exponent >= 0:
-        return _spell(block) + ",0" * exponent
-    point = len(block) + exponent  # digits before the semicolon
-    if point <= 0:  # a pure fraction: its zeros after the point, and one for "0;"
-        block = bytes(1 - point) + block
-        point = 1
-    return _spell(block[:point]) + ";" + _spell(block[point:])
+        return text + ",0" * exponent
+    whole = places + exponent  # digits before the semicolon
+    if whole <= 0:
+        return "0;" + "0," * -whole + text
+    *head, fraction = text.split(",", whole)
+    return ",".join(head) + ";" + fraction
 
 
 def format(value: SexNumber | FloatingSex | Digits) -> str:
@@ -358,21 +355,21 @@ def format(value: SexNumber | FloatingSex | Digits) -> str:
     bare canonical digit string, no semicolon, no leading zeros; the
     floating text of a SexNumber x is ``format(x.to_floating())``.
     ``Digits`` are written as the value they denote, anchored or
-    floating, with no base-60 conversion: two whole-string calls,
-    ``bytes.translate`` and ``bytes.hex``, spell all the digits.
+    floating, with no base-60 conversion.  Anchored values of both kinds
+    are spelled as bare digits first and then laid out by ``_anchored``.
     """
     if isinstance(value, FloatingSex):
         return _text_of(value.mantissa)
     if isinstance(value, Digits):
-        return _render(value)
+        packed, exponent = value
+        if not packed:
+            if exponent is None:
+                raise ValueError("an all-zero digit string has no floating value")
+            return "0"
+        block = packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
+        text = _spell(block)
+        return text if exponent is None else _anchored(text, len(block), exponent)
     if value.mantissa == 0:
         return "0"
-    if value.exponent >= 0:
-        return _text_of(value.mantissa) + ",0" * value.exponent
-    places = -value.exponent
-    # Below 2**(5 * places) < 60**places a pure fraction needs no power to tell it.
-    if value.mantissa.bit_length() <= 5 * places or value.mantissa < (unit := BASE**places):
-        text = _text_of(value.mantissa)
-        return "0;" + "0," * (places - 1 - text.count(",")) + text
-    whole, fraction = divmod(value.mantissa, unit)  # fraction + unit keeps its zeros after "1,"
-    return _text_of(whole) + ";" + _text_of(fraction + unit)[2:]
+    text = _text_of(value.mantissa)
+    return _anchored(text, text.count(",") + 1, value.exponent)

@@ -260,6 +260,12 @@ class TestPairHelpers:
         assert is_reciprocal_pair(FloatingSex(10), FloatingSex(6))
         assert not is_reciprocal_pair(FloatingSex(10), FloatingSex(7))
 
+    def test_zero_is_never_a_pair(self):
+        # Zero has no reciprocal; only an anchored value can be zero.
+        assert not is_reciprocal_pair(SexNumber(0), FloatingSex(2))
+        assert not is_reciprocal_pair(FloatingSex(2), SexNumber(0))
+        assert not is_reciprocal_pair(SexNumber(0), SexNumber(0))
+
 
 def old_is_reciprocal_pair(x: FloatingSex, y: FloatingSex) -> bool:
     # The check before it read 60**k as 2**(2k) * 15**k.

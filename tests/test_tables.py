@@ -218,15 +218,15 @@ class TestVerifyTable:
         report = verify_table(golden_rows, mode="doubling")
         assert report.ok
         assert report.findings == ()
-        assert report.count(PAIR_OK) == 30
-        assert report.count(DOUBLING_OK) == 29
-        assert report.count(HALVING_OK) == 29
+        assert report.counts[PAIR_OK] == 30
+        assert report.counts[DOUBLING_OK] == 29
+        assert report.counts[HALVING_OK] == 29
 
     def test_single_row_has_no_adjacency_findings(self):
         report = verify_table([(1, "10", "0;6")], mode="doubling")
         assert report.findings == ()
-        assert report.count(PAIR_OK) == 1
-        assert report.count(DOUBLING_OK) == 0
+        assert report.counts[PAIR_OK] == 1
+        assert report.counts[DOUBLING_OK] == 0
 
     def test_bad_pair(self):
         # 10 * 7 = 70, not a power of 60
@@ -241,7 +241,7 @@ class TestVerifyTable:
         assert verify_table(rows, mode="pairs").ok
         doubling = verify_table(rows, mode="doubling")
         assert not doubling.ok
-        assert doubling.count(DOUBLING_BAD) > 0
+        assert doubling.counts[DOUBLING_BAD] > 0
 
     def test_value_corruption_in_doubling_mode(self, golden_rows):
         rows = list(golden_rows)
@@ -253,7 +253,7 @@ class TestVerifyTable:
         assert (DOUBLING_BAD, 5) in kinds
         assert (DOUBLING_BAD, 6) in kinds
         assert (HALVING_BAD, 5) not in kinds
-        assert report.count(HALVING_OK) == 29
+        assert report.counts[HALVING_OK] == 29
 
     def test_unparseable_cell_reports_and_continues(self, golden_rows):
         rows = list(golden_rows)
@@ -264,11 +264,11 @@ class TestVerifyTable:
         assert len(parse_findings) == 1
         assert parse_findings[0].row_index == 2
         # the other 29 rows still get their pair checks
-        assert report.count(PAIR_OK) == 29
+        assert report.counts[PAIR_OK] == 29
         # halving checks around row 2 are unaffected by its value column
-        assert report.count(HALVING_OK) == 29
+        assert report.counts[HALVING_OK] == 29
         # doubling checks 1->2 and 2->3 are skipped, the rest remain
-        assert report.count(DOUBLING_OK) == 27
+        assert report.counts[DOUBLING_OK] == 27
         assert not report.ok
 
     def test_zero_reciprocal_is_a_bad_pair(self):
@@ -447,8 +447,8 @@ class TestDoublingModeMatchesTheIntegerLoop:
         )))
         report = verify_table(rows, "doubling")
         assert (report.findings, report.counts) == reference_verify_table(rows, "doubling")
-        assert report.count(PAIR_BAD) == 40
-        assert report.count(DOUBLING_OK) == report.count(HALVING_OK) == 39
+        assert report.counts[PAIR_BAD] == 40
+        assert report.counts[DOUBLING_OK] == report.counts[HALVING_OK] == 39
 
     def test_clean_table_proves_pairs_from_row_1(self, monkeypatch):
         rows = list(parse_tsv(table_tsv(generate_doubling(10, 1000))))
@@ -466,7 +466,7 @@ class TestDoublingModeMatchesTheIntegerLoop:
         monkeypatch.setattr(translit, "to_number", to_number)
         monkeypatch.setattr(tables, "is_reciprocal_pair", counting_pair)
         report = verify_table(rows, "doubling")
-        assert report.ok and report.count(PAIR_OK) == 1000
+        assert report.ok and report.counts[PAIR_OK] == 1000
         assert len(pairs) == 1
         assert sorted(converted) == sorted(rows[0][1:])
 

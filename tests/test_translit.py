@@ -213,7 +213,11 @@ def packed_cases():
 
 
 class TestFormatOfPackedDigits:
-    """format of Digits writes exactly what format of the value they denote writes."""
+    """format of Digits writes exactly what format of the value they denote writes.
+
+    Both lay out their places through one helper, so each text is also
+    checked against the digit-by-digit oracles, which share no code with it.
+    """
 
     def test_zero(self):
         assert translit.format(Digits(0, 0)) == translit.format(ZERO) == "0"
@@ -254,7 +258,9 @@ class TestFormatOfPackedDigits:
         mantissa = value_oracle(digits)
         value = FloatingSex(mantissa) if exponent is None else SexNumber(mantissa, exponent)
         packed = Digits(int.from_bytes(bytes(digits), "big"), exponent)
-        assert translit.format(packed) == translit.format(value)
+        text = translit.format(packed)
+        assert text == translit.format(value)
+        assert text == (text_oracle(mantissa) if exponent is None else format_oracle(value))
 
 
 class TestRoundTrip:
