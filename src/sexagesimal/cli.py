@@ -73,14 +73,14 @@ def _cmd_parse(args: argparse.Namespace) -> int:
             " pass --absolute or --floating",
         )
     value = translit.to_number(numeral, mode)
-    text = translit.format(value)
+    text, mantissa = translit.format(value), str(value.mantissa)  # each converted once
     print(f"canonical: {text}")
-    print(f"mantissa: {value.mantissa}")
+    print(f"mantissa: {mantissa}")
     if mode == "absolute":
         print(f"exponent: {value.exponent}")
-        print(f"#RESULT canonical={text} mantissa={value.mantissa} exponent={value.exponent}")
+        print(f"#RESULT canonical={text} mantissa={mantissa} exponent={value.exponent}")
     else:
-        print(f"#RESULT canonical={text} mantissa={value.mantissa}")
+        print(f"#RESULT canonical={text} mantissa={mantissa}")
     return EXIT_OK
 
 
@@ -192,10 +192,9 @@ def _cmd_table_standard(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # Binary chunks: parse_tsv decodes whole lines, so a bad byte is named by its line.
+    # parse_tsv reads 64 KiB at a time and decodes whole lines: a bad byte names its line.
     with open(args.file, "rb") as handle:
-        chunks = iter(lambda: handle.read(1 << 16), b"")
-        report = tables.verify_table(tables.parse_tsv(chunks), args.mode)
+        report = tables.verify_table(tables.parse_tsv(handle), args.mode)
     # Printed only now: a structural fault anywhere exits 2 before any output.
     for finding in report.bad():
         print(f"row {finding.row_index}: {finding.kind}: {finding.message}")
@@ -312,7 +311,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(EXIT_USAGE, str(exc))
     except (IrregularError, NoFiniteSolutionError, ZeroDivisionError) as exc:
         return _fail(EXIT_DOMAIN, str(exc))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: e.g. an --anchor past an index
         return _fail(EXIT_USAGE, str(exc))
     except OSError as exc:
         return _fail(EXIT_IO, str(exc))

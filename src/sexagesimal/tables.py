@@ -15,8 +15,8 @@ The table path streams, so memory does not grow with the row count:
   that keeps only the current row; ``generate_standard`` returns a
   tuple of them, built from the same row generator the CLI streams.
 - ``table_tsv`` and ``doubling_tsv`` yield one file line per row.
-- ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from the
-  text or from its chunks, holding one chunk of lines at a time.
+- ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from a
+  binary file, read 64 KiB at a time, holding one read of lines at a time.
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
   the only state that grows, and a count per kind.
 
@@ -46,7 +46,7 @@ ending in LF (the last one too), no header.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import translit
 from .core import BASE, FloatingSex, SexNumber
@@ -307,30 +307,27 @@ def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:
         yield f"{index}\t{translit.format(value)}\t{translit.format(rec)}\n"
 
 
-def parse_tsv(
-    source: str | bytes | Iterable[str | bytes],
-) -> Iterator[tuple[int, str, str]]:
+def parse_tsv(file: BinaryIO) -> Iterator[tuple[int, str, str]]:
     """Split a table file into (index, value, reciprocal) text rows, lazily.
 
-    source is the whole text or its chunks in file order, as str or as
-    UTF-8 bytes; only the lines of the current chunk are held.  The line
-    structure is rigid: LF-terminated lines of three TAB-separated
+    file is opened in binary mode and read 64 KiB at a time, by
+    ``file.read`` alone; one read and one unfinished line are held.  The
+    line structure is rigid: LF-terminated lines of three TAB-separated
     fields with an index of ASCII digits.  Structural faults raise
     ValueError naming the line, after the rows before it: any carriage
     return, bytes that are not UTF-8, a last line without its LF.
     Number notation inside the fields is left to verify_table.
     """
-    if isinstance(source, (str, bytes)):
-        source = (source,)
     lineno = 0
-    pending: list = []  # the start of a line whose LF has not come yet
-    for chunk in source:
-        end = chunk.rfind(b"\n" if isinstance(chunk, bytes) else "\n") + 1
-        if not end:
+    pending: list[bytes] = []  # the start of a line whose LF has not come yet
+    while True:
+        chunk = file.read(1 << 16)
+        end = chunk.rfind(b"\n") + 1
+        if chunk and not end:
             pending.append(chunk)
             continue
-        pending.append(chunk[:end])
-        lines, fault = _whole_lines(chunk[:0].join(pending), lineno)
+        pending.append(chunk[:end])  # at the end of the file, the unfinished line alone
+        lines, fault = _whole_lines(b"".join(pending), lineno)
         pending = [chunk[end:]]
         for line in lines:
             lineno += 1
@@ -349,35 +346,38 @@ def parse_tsv(
             yield number, fields[1], fields[2]
         if fault is not None:
             raise fault
-    if any(pending):
-        tail = pending[0][:0].join(pending)
-        fault = _whole_lines(tail + (b"\n" if isinstance(tail, bytes) else "\n"), lineno)[1]
-        raise fault or ValueError(f"line {lineno + 1}: the file does not end in LF")
+        if not chunk:
+            return
 
 
-def _whole_lines(block: str | bytes, lineno: int) -> tuple[list[str], ValueError | None]:
-    """The lines, LFs cut off, of a run of LF-terminated lines after line lineno.
+def _whole_lines(block: bytes, lineno: int) -> tuple[list[str], ValueError | None]:
+    """The lines, LFs cut off, of a block of a file that follows its line lineno.
 
-    Returns the lines before the first one with a fault (a CR, or bytes
-    that are not UTF-8) and that fault, which names its line, or None.
+    The block ends in an LF, or at the end of the file.  Returns the
+    lines before the first one with a fault (a CR, bytes that are not
+    UTF-8, or a last line without its LF) and that fault, which names
+    its line, or None.
     """
     fault = None
-    if isinstance(block, bytes):
-        try:
-            block = block.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            start = block.rfind(b"\n", 0, exc.start) + 1
-            bad = lineno + block.count(b"\n", 0, start) + 1
-            fault = ValueError(
-                f"line {bad}: 'utf-8' codec can't decode byte {block[exc.start]:#04x}"
-                f" in column {exc.start - start + 1}: {exc.reason}"
-            )
-            block = block[:start].decode("utf-8")
-    cr = block.find("\r")
+    unended = block and not block.endswith(b"\n")  # the end of the file, without its LF
+    try:  # decoded with the LF, so a character cut at the end reads as cut, not as the end
+        text = (block + b"\n" if unended else block).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = block.rfind(b"\n", 0, exc.start) + 1
+        bad = lineno + block.count(b"\n", 0, start) + 1
+        fault = ValueError(
+            f"line {bad}: 'utf-8' codec can't decode byte {block[exc.start]:#04x}"
+            f" in column {exc.start - start + 1}: {exc.reason}"
+        )
+        text = block[:start].decode("utf-8")
+    cr = text.find("\r")
     if cr >= 0:
-        block = block[:cr]
-        bad = lineno + block.count("\n") + 1
+        text = text[:cr]
+        bad = lineno + text.count("\n") + 1
         fault = ValueError(f"line {bad}: carriage return found; lines must end in LF only")
-    lines = block.split("\n")
+    lines = text.split("\n")
     lines.pop()  # after the last LF, or the start of the line with the fault
+    if unended and fault is None:
+        lines.pop()
+        fault = ValueError(f"line {lineno + len(lines) + 1}: the file does not end in LF")
     return lines, fault

@@ -148,6 +148,18 @@ class TestTableCommands:
         assert code == 0
         assert out == "1\t10\t0;0,6\n"
 
+    @pytest.mark.parametrize("anchor", ["99999999999999999999", "-99999999999999999999"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_anchor_past_an_index_is_a_usage_error(self, cli, tmp_path, anchor, to_file):
+        # Too many places to repeat a ',0' or a '0,' for: one error line, no table.
+        output = ["-o", str(tmp_path / "table.tsv")] if to_file else []
+        code, out, err = cli(
+            "table", "double", "--seed", "10", "--rows", "2", f"--anchor={anchor}", *output
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_irregular_seed(self, cli):
         code, _, err = cli("table", "double", "--seed", "7", "--rows", "3")
         assert code == 1

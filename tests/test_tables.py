@@ -1,10 +1,12 @@
 """Table generation and structural verification."""
 
 import hashlib
+import io
 import itertools
 import random
 import re
 import sys
+import types
 from collections import Counter
 
 import pytest
@@ -32,6 +34,21 @@ from sexagesimal.tables import (
     table_tsv,
     verify_table,
 )
+
+
+def tsv_file(text: str | bytes) -> io.BytesIO:
+    """A table text, or its UTF-8 bytes, as the binary file parse_tsv reads."""
+    return io.BytesIO(text.encode() if isinstance(text, str) else text)
+
+
+class Trickle:
+    """A binary file whose read returns at most size bytes, however many are asked for."""
+
+    def __init__(self, data: bytes, size: int) -> None:
+        self.file, self.size = io.BytesIO(data), size
+
+    def read(self, n: int) -> bytes:
+        return self.file.read(min(n, self.size))
 
 
 def smooth_235(limit: int) -> list[int]:
@@ -122,7 +139,7 @@ class TestGenerateDoubling:
 
     def test_generated_table_verifies_clean(self):
         table = generate_doubling(25, 40, anchor_exponent=-2)
-        rows = parse_tsv(table_tsv(table))
+        rows = parse_tsv(tsv_file("".join(table_tsv(table))))
         report = verify_table(rows, mode="doubling")
         assert report.ok
         assert not report.bad()
@@ -237,7 +254,7 @@ class TestVerifyTable:
 
     def test_pairs_mode_skips_chain_checks(self):
         # a standard table is no doubling chain; pairs mode stays clean
-        rows = list(parse_tsv(table_tsv(generate_standard(8))))
+        rows = list(parse_tsv(tsv_file("".join(table_tsv(generate_standard(8))))))
         assert verify_table(rows, mode="pairs").ok
         doubling = verify_table(rows, mode="doubling")
         assert not doubling.ok
@@ -407,7 +424,7 @@ def corrupt_cell(cell, rng):
 
 
 def corrupted_rows(seed, anchor, rng):
-    rows = list(parse_tsv(table_tsv(generate_doubling(seed, 300, anchor))))
+    rows = list(parse_tsv(tsv_file("".join(table_tsv(generate_doubling(seed, 300, anchor))))))
     last = len(rows) - 1
     picked = rng.sample(range(last + 1), 12) + [0, last]
     start = rng.randrange(last)
@@ -442,16 +459,16 @@ class TestDoublingModeMatchesTheIntegerLoop:
 
     def test_a_chain_from_a_bad_pair_stays_bad(self):
         # Every row doubles and halves the one before, but 10 * 7 is no power of 60.
-        rows = list(parse_tsv(table_tsv(
+        rows = list(parse_tsv(tsv_file("".join(table_tsv(
             TableRow(i + 1, FloatingSex(10 << i), SexNumber(7 * 30**i, -i - 1)) for i in range(40)
-        )))
+        )))))
         report = verify_table(rows, "doubling")
         assert (report.findings, report.counts) == reference_verify_table(rows, "doubling")
         assert report.counts[PAIR_BAD] == 40
         assert report.counts[DOUBLING_OK] == report.counts[HALVING_OK] == 39
 
     def test_clean_table_proves_pairs_from_row_1(self, monkeypatch):
-        rows = list(parse_tsv(table_tsv(generate_doubling(10, 1000))))
+        rows = list(parse_tsv(tsv_file("".join(table_tsv(generate_doubling(10, 1000))))))
         converted, pairs = [], []
 
         def to_number(numeral, reading):
@@ -481,7 +498,7 @@ class TestTsv:
         assert text == "1\t2\t30\n2\t3\t20\n"
 
     def test_round_trip(self, golden_text, golden_rows):
-        rows = list(parse_tsv(golden_text))
+        rows = list(parse_tsv(tsv_file(golden_text)))
         assert rows == golden_rows
         assert rows[0] == (1, "10", "0;6")
         assert rows[29][0] == 30
@@ -503,7 +520,7 @@ class TestTsv:
     )
     def test_structural_faults_raise(self, text):
         with pytest.raises(ValueError):
-            list(parse_tsv(text))
+            list(parse_tsv(tsv_file(text)))
 
     def test_index_over_the_int_str_limit_names_its_line(self):
         set_limit = getattr(sys, "set_int_max_str_digits", None)
@@ -513,8 +530,8 @@ class TestTsv:
         set_limit(4300)  # the interpreter's default
         try:
             with pytest.raises(ValueError, match="^line 1: index of 5000 digits"):
-                list(parse_tsv("1" * 5000 + "\t10\t6\n"))
-            rows = parse_tsv("1\t10\t0;6\n" + "2" * 4301 + "\t20\t0;3\n")
+                list(parse_tsv(tsv_file("1" * 5000 + "\t10\t6\n")))
+            rows = parse_tsv(tsv_file("1\t10\t0;6\n" + "2" * 4301 + "\t20\t0;3\n"))
             assert next(rows) == (1, "10", "0;6")
             with pytest.raises(ValueError, match="^line 2: "):
                 next(rows)
@@ -523,31 +540,32 @@ class TestTsv:
 
     def test_carriage_return_names_its_line(self):
         with pytest.raises(ValueError, match="line 2"):
-            list(parse_tsv("1\t10\t0;6\n2\t20\t0;3\r\n"))
+            list(parse_tsv(tsv_file("1\t10\t0;6\n2\t20\t0;3\r\n")))
 
     @pytest.mark.parametrize("separator", ["\x85", "\u2028"])
     def test_only_lf_ends_a_line(self, separator):
-        assert list(parse_tsv(f"1\t1{separator}0\t0;6\n")) == [(1, f"1{separator}0", "0;6")]
+        rows = parse_tsv(tsv_file(f"1\t1{separator}0\t0;6\n"))
+        assert list(rows) == [(1, f"1{separator}0", "0;6")]
 
     def test_missing_final_lf_names_its_line(self):
         with pytest.raises(ValueError, match="line 2: the file does not end in LF"):
-            list(parse_tsv("1\t10\t0;6\n2\t20\t0;3"))
+            list(parse_tsv(tsv_file("1\t10\t0;6\n2\t20\t0;3")))
 
     def test_rows_before_a_fault_come_first(self):
-        rows = parse_tsv("1\t10\t0;6\n2\t20\n")
+        rows = parse_tsv(tsv_file("1\t10\t0;6\n2\t20\n"))
         assert next(rows) == (1, "10", "0;6")
         with pytest.raises(ValueError, match="line 2"):
             next(rows)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 64, 1000, 1 << 16])
     def test_chunks_of_any_size_give_the_same_rows(self, golden_text, golden_rows, size):
-        # Lines, multi-byte characters and faults may all straddle chunk ends.
-        for text in (golden_text, golden_text.replace(";", "\u2028;")):
-            data = text.encode("utf-8")
-            expected = list(parse_tsv(text))
-            assert list(parse_tsv(text[i : i + size] for i in range(0, len(text), size))) == expected
-            assert list(parse_tsv(data[i : i + size] for i in range(0, len(data), size))) == expected
-        assert list(parse_tsv(golden_text)) == golden_rows
+        # Lines, multi-byte characters and faults may all straddle the end of a read.
+        assert list(parse_tsv(Trickle(golden_text.encode(), size))) == golden_rows
+        spaced = [tuple(cell.replace(";", "\u2028;") for cell in row[1:]) for row in golden_rows]
+        data = golden_text.replace(";", "\u2028;").encode()
+        assert list(parse_tsv(Trickle(data, size))) == [
+            (row[0], *cells) for row, cells in zip(golden_rows, spaced)
+        ]
         lines = golden_text.encode().splitlines(keepends=True)
         for bad, message in [
             (lines[:16] + [lines[16].replace(b"\n", b"\r\n")] + lines[17:], "line 17: carriage"),
@@ -555,9 +573,52 @@ class TestTsv:
             # 0xC3 starts a two-byte character, a TAB cannot continue it
             (lines[:23] + [lines[23].replace(b"\t", b"\xc3\t", 1)] + lines[24:], "line 24: 'utf"),
         ]:
-            bad = b"".join(bad)
             with pytest.raises(ValueError, match=message):
-                list(parse_tsv(bad[i : i + size] for i in range(0, len(bad), size)))
+                list(parse_tsv(Trickle(b"".join(bad), size)))
+
+    def test_a_file_needs_only_read_and_is_read_64_kib_at_a_time(self, golden_text, golden_rows):
+        # No readline, no iteration: a wrapper that counts the bytes read may define read alone.
+        data, sizes = io.BytesIO(golden_text.encode() * 300), []
+        file = types.SimpleNamespace(read=lambda n: sizes.append(n) or data.read(n))
+        assert list(parse_tsv(file)) == golden_rows * 300
+        assert sizes == [1 << 16] * (len(data.getvalue()) // (1 << 16) + 2)
+
+    def test_an_empty_file_has_no_rows(self):
+        assert list(parse_tsv(tsv_file(b""))) == []
+
+    def test_a_line_longer_than_a_read(self):
+        value = ",".join(["59"] * 30_000)  # 89,999 bytes
+        text = f"1\t10\t0;6\n2\t{value}\t1\n3\t20\t0;3\n"
+        rows = [(1, "10", "0;6"), (2, value, "1"), (3, "20", "0;3")]
+        assert list(parse_tsv(tsv_file(text))) == rows
+        with pytest.raises(ValueError, match="^line 2: the file does not end in LF$"):
+            list(parse_tsv(tsv_file(text[: text.index("\t1\n") + 2])))
+        with pytest.raises(ValueError, match="^line 2: carriage return found"):
+            list(parse_tsv(tsv_file(text.replace("\t1\n", "\t1\r\n"))))
+
+    @pytest.mark.parametrize("offset", [(1 << 16) - 1, 1 << 16])
+    @pytest.mark.parametrize(
+        "special, message",
+        [
+            (b"\xc3\xa9", None),
+            (b"\xe2\x80\xa8", None),
+            (b"\r", "line 2: carriage return found; lines must end in LF only"),
+            (b"\xc3", "line 2: 'utf-8' codec can't decode byte 0xc3 in column {}: invalid"),
+        ],
+    )
+    def test_a_character_at_the_end_of_a_read(self, offset, special, message):
+        # special starts at byte offset, in line 2; the first read ends at byte 65,535.
+        value = b"1" * (offset - len(b"1\t10\t0;6\n2\t")) + special
+        data = b"1\t10\t0;6\n2\t" + value + b"\t0;3\n3\t20\t0;3\n"
+        assert data.index(special) == offset
+        rows = parse_tsv(tsv_file(data))
+        assert next(rows) == (1, "10", "0;6")
+        if message is None:
+            assert list(rows) == [(2, value.decode(), "0;3"), (3, "20", "0;3")]
+        else:
+            column = len(b"2\t" + value)  # the column of special's first byte
+            with pytest.raises(ValueError, match=re.escape(message.format(column))):
+                next(rows)
 
     def test_bytes_that_are_not_utf8_name_their_line_and_column(self):
         text = "".join(f"{i}\t10\t0;6\n" for i in range(1, 10001)).encode()
@@ -565,10 +626,9 @@ class TestTsv:
         line = text.count(b"\n", 0, offset) + 1
         column = offset - text.rfind(b"\n", 0, offset)
         bad = text[:offset] + b"\xff" + text[offset + 1 :]
-        chunks = (bad[i : i + (1 << 16)] for i in range(0, len(bad), 1 << 16))
         message = f"line {line}: 'utf-8' codec can't decode byte 0xff in column {column}"
         with pytest.raises(ValueError, match=message):
-            list(parse_tsv(chunks))
+            list(parse_tsv(tsv_file(bad)))
 
 
 def tsv_oracle(rows):
