@@ -9,8 +9,9 @@ exact linear solve instead.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import BASE, FloatingSex, SexNumber, _remove_factor
 
@@ -137,12 +138,13 @@ def solve_linear(a: SexNumber, b: SexNumber) -> SexNumber:
 
 
 def is_reciprocal_pair(x: FloatingSex | SexNumber, y: FloatingSex | SexNumber) -> bool:
-    """True when the floating product of the two values is 1: it is 60**k == 2**(2k) * 15**k.
+    """True when the floating product of the two values is 1, read from the mantissas
+    alone: either value may be floating or anchored, and an anchored zero pairs with none."""
+    return _is_power_of_60(x.mantissa * y.mantissa)
 
-    Only the mantissas are read: either value may be floating or anchored.
-    Zero has no reciprocal, so a pair with an anchored zero is never one.
-    """
-    product = x.mantissa * y.mantissa
+
+def _is_power_of_60(product: int) -> bool:
+    """True when product is 60**k == 2**(2k) * 15**k; a factor 60**j does not change the answer."""
     if not product:
         return False
     odd, two = _remove_factor(product, 2)
@@ -162,8 +164,11 @@ def _odd_regulars(limit: int) -> dict[int, tuple[int, int]]:
     return found
 
 
-def regular_numbers(limit: int) -> list[int]:
-    """All regular integers in [2, limit], ascending."""
-    # p * 2**a <= limit for the (limit // p).bit_length() choices of a; [1:] drops 1.
-    odd = _odd_regulars(limit)
-    return sorted(p << a for p in odd for a in range((limit // p).bit_length()))[1:]
+def regular_numbers(limit: int) -> Iterator[int]:
+    """The regular integers in [2, limit], ascending, one at a time: each odd
+    regular p gives the run p * 2**a <= limit, and merging the runs holds no list."""
+    from heapq import merge  # only table standard needs it; at the top every command would pay
+
+    # a takes the (limit // p).bit_length() values below it; islice drops 1.
+    runs = (map(p.__lshift__, range((limit // p).bit_length())) for p in _odd_regulars(limit))
+    return islice(merge(*runs), 1, None)

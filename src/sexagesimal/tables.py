@@ -20,15 +20,15 @@ The table path streams, so memory does not grow with the row count:
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
   the only state that grows, and a count per kind.
 
-What ``verify_table`` converts depends on the mode.  In pairs mode
-every cell becomes its number and every row's pair is computed.  In
-doubling mode the chain checks compare cells on their digits, packed
-one per byte into an int (``translit.Digits``) and doubled or halved
-in place, so no chain check converts base 60 to binary.  A row's two
-cells become numbers only when its pair does not follow from the row
+``verify_table`` builds no value object.  A row is a pair when the
+integers its two cells' digits spell multiply to a power of 60, which
+trailing zero digits do not change; pairs mode computes this for every
+row.  Doubling mode compares cells on their digits, packed one per
+byte into an int (``translit.Digits``) and doubled or halved in place,
+and computes a row's pair only when it does not follow from the row
 before: if row i-1 is a reciprocal pair and row i doubles its value
 and halves its reciprocal, row i is one too, as (2x)(y/2) = xy.  A
-clean table converts row 1 alone.
+clean table converts row 1 alone, and no chain check converts at all.
 
 ``doubling_tsv`` writes a doubling table the way it is defined: row 1
 is spelled from its values and read back into packed digits, and
@@ -50,7 +50,8 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import translit
 from .core import BASE, FloatingSex, SexNumber
-from .regular import _odd_regulars, _reciprocal_power, invert, is_reciprocal_pair, regular_numbers
+from .regular import _is_power_of_60, _odd_regulars, _reciprocal_power
+from .regular import invert, is_reciprocal_pair, regular_numbers
 from .translit import Digits
 
 PAIR_OK = "PAIR_OK"
@@ -150,14 +151,14 @@ def verify_table(
 ) -> VerificationReport:
     """Structurally check transcribed (index, value, reciprocal) rows.
 
-    Every row counts as PAIR_OK or PAIR_BAD (is the mantissa product a
-    power of 60?).  In "doubling" mode each adjacent pair of rows also
-    counts as DOUBLING_OK/BAD for the value column and HALVING_OK/BAD
-    for the reciprocal column.  Cells that fail to parse yield a
-    PARSE_ERROR finding for their row and the remaining checks continue
-    without them.  The row findings come first, then the chain findings,
-    each in row order.  Nothing is ever corrected.  What each mode
-    converts is told in the module docstring.
+    Every row counts as PAIR_OK or PAIR_BAD (is the product of its
+    cells' digit integers a power of 60?).  In "doubling" mode each
+    adjacent pair of rows also counts as DOUBLING_OK/BAD for the value
+    column and HALVING_OK/BAD for the reciprocal column.  Cells that fail
+    to parse yield a PARSE_ERROR finding for their row and the remaining
+    checks continue without them.  The row findings come first, then the
+    chain findings, each in row order.  Nothing is ever corrected.  What
+    each mode converts is told in the module docstring.
     """
     if mode not in ("pairs", "doubling"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -175,10 +176,12 @@ def verify_table(
         return holds
 
     def parse_cell(index, field, text, reading):
-        """(numeral, its packed digits in doubling mode or its number), or (None, None)."""
+        """(numeral, its packed digits in doubling mode or the numeral again), or (None, None)."""
         try:
             numeral = translit.parse(text)
-            return numeral, (_packed if doubling else translit.to_number)(numeral, reading)
+            if reading == "floating" and not any(numeral.digits):
+                translit.to_number(numeral, reading)  # all zero: raises before building a value
+            return numeral, _packed(numeral, reading) if doubling else numeral
         except ValueError as exc:  # covers ParseError and the floating-zero case
             counts[PARSE_ERROR] += 1
             row_findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
@@ -201,15 +204,9 @@ def verify_table(
             proved = prev_pair and doubled and halved
         pair = False
         if value is not None and rec is not None:
-            if proved:
-                pair = True
-            elif doubling:  # value and rec are packed digits, not numbers
-                pair = is_reciprocal_pair(
-                    translit.to_number(value_numeral, "floating"),
-                    translit.to_number(rec_numeral, "absolute"),
-                )
-            else:
-                pair = is_reciprocal_pair(value, rec)
+            pair = proved or _is_power_of_60(
+                translit._value_of(value_numeral.digits) * translit._value_of(rec_numeral.digits)
+            )
             if pair:
                 counts[PAIR_OK] += 1
             else:  # the texts are stripped for the message only
@@ -227,13 +224,11 @@ def _packed(numeral: translit.Transliteration, reading: str) -> Digits:
 
     The floating reading keeps no exponent, the absolute reading the one
     its semicolon gives; both are canonical, so they are equal exactly
-    when the numbers are.  An all-zero floating cell raises to_number's
-    error.
+    when the numbers are.  All zero digits are ``Digits(0, 0)``.
     """
     digits = numeral.digits
     packed = int.from_bytes(bytes(digits), "big")
     if not packed:
-        translit.to_number(numeral, reading)  # all zero: the floating reading raises here
         return Digits(0, 0)
     zeros = ((packed & -packed).bit_length() - 1) >> 3
     packed >>= zeros << 3

@@ -1,6 +1,7 @@
 """Regularity detection, reciprocals, and the exact linear solver."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -236,7 +237,7 @@ class TestLongIrregularNumbers:
 
 class TestRegularNumbers:
     def test_enumerate_and_filter_small(self):
-        assert regular_numbers(8) == [2, 3, 4, 5, 6, 8]
+        assert list(regular_numbers(8)) == [2, 3, 4, 5, 6, 8]
 
     def test_includes_81(self):
         assert 81 in regular_numbers(81)
@@ -244,7 +245,20 @@ class TestRegularNumbers:
 
     def test_matches_long_division_oracle(self):
         expected = [n for n in range(2, 501) if division_terminates(n)]
-        assert regular_numbers(500) == expected
+        assert list(regular_numbers(500)) == expected
+
+    def test_numbers_come_one_at_a_time(self):
+        # The 48,206 numbers up to 10**30 as one sorted list peaked at 2.6 MiB.
+        count, previous, ascending = 0, 1, True
+        tracemalloc.start()
+        try:
+            for n in regular_numbers(10**30):
+                count, previous, ascending = count + 1, n, ascending and previous < n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, ascending) == (48206, True)
+        assert peak < 1 << 20
 
 
 class TestPairHelpers:

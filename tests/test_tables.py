@@ -246,11 +246,40 @@ class TestVerifyTable:
         assert report.counts[DOUBLING_OK] == 0
 
     def test_bad_pair(self):
-        # 10 * 7 = 70, not a power of 60
-        report = verify_table([(1, "10", "0;7")])
-        assert [f.kind for f in report.findings] == [PAIR_BAD]
-        assert report.findings[0].row_index == 1
+        # 10 * 7 = 70, not a power of 60.  Trailing zero digits multiply the
+        # digit integers' product by 60: 60 * 1 and 120 * 30 are pairs, 60 * 7 is not.
+        rows = [(1, "10", "0;7"), (2, "1,0", "1"), (3, "2,0", "0;0,30"), (4, "1,0", "0;0,7")]
+        report = verify_table(rows)
+        assert [(f.kind, f.row_index) for f in report.findings] == [(PAIR_BAD, 1), (PAIR_BAD, 4)]
+        assert (report.findings, report.counts) == reference_verify_table(rows, "pairs")
         assert not report.ok
+
+    @pytest.mark.parametrize("mode", ["pairs", "doubling"])
+    def test_an_all_zero_value_has_no_floating_reading(self, mode):
+        rows = [(1, "0", "1"), (2, "0;0", "1")]
+        report = verify_table(rows, mode)
+        assert (report.findings, report.counts) == reference_verify_table(rows, mode)
+        errors = [f for f in report.findings if f.kind == PARSE_ERROR]
+        assert [f.row_index for f in errors] == [1, 2]  # doubling mode adds a HALVING_BAD
+        assert all("all-zero numeral has no floating value" in f.message for f in errors)
+
+    def test_no_value_is_constructed_while_verifying(self, monkeypatch):
+        corrupted = corrupted_rows(FloatingSex(10), 0, random.Random("zeros"))
+        for i, cells in [(5, ("0", "0;0,6")), (6, ("0,0", "0")), (9, ("1,0", "0;0,0"))]:
+            corrupted[i] = (i + 1, *cells)
+        standard = list(parse_tsv(tsv_file("".join(table_tsv(generate_standard(10**6))))))
+        tables_and_modes = [(corrupted, "pairs"), (corrupted, "doubling"), (standard, "pairs")]
+        expected = [reference_verify_table(rows, mode) for rows, mode in tables_and_modes]
+        built = []
+        for cls in (FloatingSex, SexNumber):
+            init = cls.__init__
+            counting = lambda self, *args, i=init: built.append(args) or i(self, *args)
+            monkeypatch.setattr(cls, "__init__", counting)
+        for (rows, mode), reference in zip(tables_and_modes, expected):
+            report = verify_table(rows, mode)
+            assert (report.findings, report.counts) == reference
+        assert built == []
+        assert expected[0][1][PARSE_ERROR] >= 2  # the all-zero values, at least
 
     def test_pairs_mode_skips_chain_checks(self):
         # a standard table is no doubling chain; pairs mode stays clean
@@ -353,9 +382,6 @@ class TestPackedChainSteps:
             packed = tables._packed(numeral, "floating")
             assert packed == Digits(packed_oracle(floating.mantissa))
             assert tables._double(packed) == Digits(packed_oracle(floating.double().mantissa))
-        else:
-            with pytest.raises(ValueError, match="all-zero numeral has no floating value"):
-                tables._packed(numeral, "floating")
 
 
 def reference_verify_table(rows, mode):
@@ -469,23 +495,23 @@ class TestDoublingModeMatchesTheIntegerLoop:
 
     def test_clean_table_proves_pairs_from_row_1(self, monkeypatch):
         rows = list(parse_tsv(tsv_file("".join(table_tsv(generate_doubling(10, 1000))))))
-        converted, pairs = [], []
+        converted, products = [], []
 
-        def to_number(numeral, reading):
-            converted.append(numeral.raw)
-            return real_to_number(numeral, reading)
+        def value_of(digits):
+            converted.append(digits)
+            return real_value_of(digits)
 
-        def counting_pair(x, y):
-            pairs.append((x, y))
-            return is_reciprocal_pair(x, y)
+        def counting_power(product):
+            products.append(product)
+            return real_power(product)
 
-        real_to_number = translit.to_number
-        monkeypatch.setattr(translit, "to_number", to_number)
-        monkeypatch.setattr(tables, "is_reciprocal_pair", counting_pair)
+        real_value_of, real_power = translit._value_of, tables._is_power_of_60
+        monkeypatch.setattr(translit, "_value_of", value_of)
+        monkeypatch.setattr(tables, "_is_power_of_60", counting_power)
         report = verify_table(rows, "doubling")
         assert report.ok and report.counts[PAIR_OK] == 1000
-        assert len(pairs) == 1
-        assert sorted(converted) == sorted(rows[0][1:])
+        assert len(products) == 1
+        assert sorted(converted) == sorted(translit.parse(cell).digits for cell in rows[0][1:])
 
 
 class TestTsv:
