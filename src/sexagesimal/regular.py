@@ -9,7 +9,6 @@ exact linear solve instead.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import gcd
 from typing import Iterator, NamedTuple
 
@@ -165,10 +164,21 @@ def _odd_regulars(limit: int) -> dict[int, tuple[int, int]]:
 
 
 def regular_numbers(limit: int) -> Iterator[int]:
-    """The regular integers in [2, limit], ascending, one at a time: each odd
-    regular p gives the run p * 2**a <= limit, and merging the runs holds no list."""
-    from heapq import merge  # only table standard needs it; at the top every command would pay
+    """The regular integers in [2, limit], ascending, one at a time.
 
-    # a takes the (limit // p).bit_length() values below it; islice drops 1.
-    runs = (map(p.__lshift__, range((limit // p).bit_length())) for p in _odd_regulars(limit))
-    return islice(merge(*runs), 1, None)
+    A heap holds one number for each odd regular p, the next of its run
+    p * 2**a <= limit: the least is yielded and replaced by its double
+    while that is within the limit, else popped.  1 leads and is skipped.
+    """
+    from heapq import heapify, heappop, heapreplace  # only table standard needs them
+
+    heap = list(_odd_regulars(limit))
+    heapify(heap)
+    while heap:
+        n = heap[0]
+        if n << 1 <= limit:
+            heapreplace(heap, n << 1)
+        else:
+            heappop(heap)
+        if n > 1:
+            yield n

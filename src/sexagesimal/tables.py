@@ -238,9 +238,22 @@ def _packed(numeral: translit.Transliteration, reading: str) -> Digits:
     return Digits(packed, point - len(digits) + zeros)
 
 
+_ONES = [1]  # the longest 0x0101...01 built so far, which _ones shifts down
+
+
 def _ones(packed: int) -> int:
-    """0x0101...01, one 1 in the low bit of every byte of packed."""
-    return int.from_bytes(b"\x01" * ((packed.bit_length() + 7) >> 3), "big")
+    """0x0101...01, one 1 in the low bit of every byte of packed.
+
+    The kept mask is cut to length by one shift; a longer one is built
+    with room for twice the bytes asked, so a growing chain builds few.
+    """
+    width = (packed.bit_length() + 7) >> 3
+    ones = _ONES[0]
+    spare = ((ones.bit_length() + 7) >> 3) - width
+    if spare < 0:
+        ones = _ONES[0] = int.from_bytes(b"\x01" * (width << 1), "big")
+        spare = width
+    return ones >> (spare << 3)
 
 
 def _double(value: Digits) -> Digits:

@@ -31,11 +31,11 @@ longer grows with the length, only a few big-integer steps per level.
 
 Digits that are already base 60 need no conversion at all.  ``Digits``
 holds them packed one per byte into one int, as the table writer and
-the verifier step them, and ``format`` spells them in two whole-string
-calls: ``bytes.translate`` turns each digit d into the packed-decimal
-byte ``(d // 10) << 4 | d % 10``, ``bytes.hex(",")`` writes every byte
-as its two decimal characters, and cutting the 0 after each comma and
-at the start removes the padding.
+the verifier step them, and ``format`` spells them in three
+whole-buffer calls: ``bytes.translate`` turns each digit d into the
+packed-decimal byte ``(d // 10) << 4 | d % 10``, or ``0xA0 | d`` below
+10, ``binascii.hexlify`` writes every byte as two characters with a
+comma between, and deleting every "a" leaves a digit below 10 with one.
 
 Place value is laid out by one rule, after the digits are spelled, for
 a ``SexNumber`` and anchored ``Digits`` alike: an integer gets trailing
@@ -46,6 +46,7 @@ gets a "0;" head and the zeros between the point and its first digit.
 from __future__ import annotations
 
 import re
+from binascii import hexlify
 from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
@@ -62,9 +63,10 @@ _POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squ
 _MASKS: dict[int, list[int]] = {}  # levels -> to_number's field mask at each level
 _SHORT = 128  # to_number folds this many digits or fewer one by one
 # Digit d as the packed-decimal byte 0xTU (T = d // 10, U = d % 10), so that
-# bytes.hex writes it as two decimal characters; a byte of 60 or more as 0xFF,
-# which writes "ff" and so never passes for a digit.
-_BCD = bytes([d // 10 << 4 | d % 10 for d in range(BASE)]) + b"\xff" * (256 - BASE)
+# hexlify writes it as two decimal characters; a digit below 10 as 0xAU, whose
+# "a" is deleted after hexlify, as no tens digit is above 5; a byte of 60 or
+# more as 0xFF, which writes "ff" and so never passes for a digit.
+_BCD = bytes([(d // 10 or 10) << 4 | d % 10 for d in range(BASE)]) + b"\xff" * (256 - BASE)
 
 
 class ParseError(ValueError):
@@ -327,12 +329,11 @@ def _text_of(mantissa: int) -> str:
 def _spell(block: bytes) -> str:
     """Digits given one per byte, comma-separated and unpadded; block is not empty.
 
-    Each digit becomes its packed-decimal byte and ``hex`` writes them
-    two characters each; cutting the 0 after every comma and at the
-    start leaves the digits below 10 with one character.
+    Each digit becomes its packed-decimal byte and ``hexlify`` writes
+    them two characters each; a digit below 10 is written "a" and its
+    digit, and deleting every "a" leaves it with one character.
     """
-    text = block.translate(_BCD).hex(",").replace(",0", ",")
-    return text[1:] if text[0] == "0" else text
+    return hexlify(block.translate(_BCD), b",").translate(None, b"a").decode()
 
 
 def _anchored(text: str, places: int, exponent: int) -> str:

@@ -132,6 +132,12 @@ class TestTableCommands:
         assert code == 0
         assert out == ""
         assert target.read_bytes() == golden_text.encode()
+        # 144 KB, so the 64 KiB file buffer fills and is written more than twice.
+        command = ("table", "double", "--seed", "10", "--rows", "400")
+        code, out, _ = cli(*command)
+        assert code == 0 and len(out) > 2 << 16
+        assert cli(*command, "-o", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode()
 
     def test_deterministic(self, cli):
         first = cli("table", "standard", "--limit", "300")

@@ -258,7 +258,12 @@ class TestRegularNumbers:
         finally:
             tracemalloc.stop()
         assert (count, ascending) == (48206, True)
-        assert peak < 1 << 20
+        assert peak < 1 << 19  # one heap of the 1,402 odd regulars: 253 KiB
+
+    def test_every_limit_below_3000(self):
+        numbers = [n for n in range(2, 3000) if division_terminates(n)]
+        for limit in range(-1, 3000):
+            assert list(regular_numbers(limit)) == [n for n in numbers if n <= limit]
 
 
 class TestPairHelpers:

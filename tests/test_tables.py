@@ -370,6 +370,25 @@ class TestPackedChainSteps:
         semicolon_index = data.draw(st.none() | st.integers(0, len(digits)))
         self.check(numerals_from(digits, semicolon_index))
 
+    def test_short_value_right_after_a_long_one(self, monkeypatch):
+        # The 2,000-digit steps leave a long mask kept; the 3-digit ones cut it down.
+        monkeypatch.setattr(tables, "_ONES", [1])
+        self.check(numerals_from([59, 31] * 1000, 3))
+        self.check(numerals_from([1, 31, 59], 1))
+
+    @pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+    def test_kept_mask_in_any_order(self, monkeypatch, order):
+        monkeypatch.setattr(tables, "_ONES", [1])
+        lengths = list(range(1, 301))
+        if order == "falling":
+            lengths.reverse()
+        elif order == "shuffled":
+            random.Random(300).shuffle(lengths)
+        for n in lengths:
+            for packed in (1 << 8 * n - 8, (1 << 8 * n) - 1):  # the fewest and most bits of n bytes
+                assert tables._ones(packed) == int.from_bytes(b"\x01" * n, "big"), (n, packed)
+        assert tables._ones(0) == 0
+
     @staticmethod
     def check(numeral):
         absolute = translit.to_number(numeral, "absolute")

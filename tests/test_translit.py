@@ -204,7 +204,8 @@ class TestFormat:
 def packed_cases():
     """(digits, exponent) pairs at the edges of the packed renderer."""
     heads = [[5], [45], [5, 7], [45, 7], [9, 10], [10, 9, 59]]  # one- and two-digit heads
-    for digits in heads + [[1, 0, 0, 5], [59, 0, 30], [1, 0, 59, 0, 0, 1]]:
+    every_digit = [*range(1, 60), *range(60), 1]  # each of the 60 after a comma
+    for digits in heads + [[1, 0, 0, 5], [59, 0, 30], [1, 0, 59, 0, 0, 1], every_digit]:
         n = len(digits)
         # Points after the digits (integers with trailing ,0), inside them, at
         # their start, and before it (pure fractions with 0;0, ahead).
