@@ -197,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.file, "rb") as handle:
         report = tables.verify_table(tables.parse_tsv(handle), args.mode)
     # Printed only now: a structural fault anywhere exits 2 before any output.
-    for finding in report.bad():
+    for finding in report.findings:
         print(f"row {finding.row_index}: {finding.kind}: {finding.message}")
     print(f"pairs: {report.counts[tables.PAIR_OK]} ok, {report.counts[tables.PAIR_BAD]} bad")
     if args.mode == "doubling":

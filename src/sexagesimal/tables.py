@@ -142,7 +142,7 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.findings
 
-    def bad(self) -> tuple[Finding, ...]:
+    def bad(self) -> tuple[Finding, ...]:  # read only by bench/spans.py
         return self.findings
 
 

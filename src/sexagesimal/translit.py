@@ -12,14 +12,14 @@ tolerated.  A string without a semicolon is ambiguous between an integer
 and a floating digit string; the parser records the tokens only and the
 caller picks a mode when converting, so nothing is ever guessed.
 
-Parsing has a fast path and a scanner.  The text is split at the
-semicolon and the commas, and the tokens are looked up together in one
-table of the 60 digit spellings, which checks and converts them at
-once.  A token the table lacks, such as one with a blank or a second
-semicolon, sends the whole text to the scanner, the only code that
-finds the column of a fault, so errors, their messages and their
-positions come from one place.  The scanner matches runs of blanks and
-digit fields with compiled patterns, not character by character.
+Parsing splits the text once, at the first semicolon and at the
+commas, and looks the tokens up together in one table of the 60 digit
+spellings, which checks and converts them at once.  A token the table
+lacks, such as one with a blank or a second semicolon, sends the text
+to the scanner, which looks the same tokens up again without their
+blanks.  Only a token that still misses is read further, by one fault
+reader, the only code that finds the column of a fault: errors, their
+messages and their positions come from one place.
 
 Long numbers convert by divide and conquer over the cached powers
 60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010, §1.7):
@@ -45,7 +45,6 @@ gets a "0;" head and the zeros between the point and its first digit.
 
 from __future__ import annotations
 
-import re
 from binascii import hexlify
 from functools import cache
 from itertools import chain, repeat
@@ -98,6 +97,14 @@ class Transliteration(_Value):
     def __init__(self, digits: tuple[int, ...], semicolon_index: int | None, raw: str) -> None:
         if not digits:
             raise ValueError("a numeral needs at least one digit")
+        # Exact types, as SexNumber checks them: a bool would read as 1, and
+        # a float would fail only later, in to_number.
+        kinds = set(map(type, digits))
+        if kinds != {int} or type(semicolon_index) not in (int, type(None)):
+            raise TypeError(
+                "digits must be int and semicolon_index int or None, got"
+                f" {', '.join(sorted(k.__name__ for k in kinds))} and {type(semicolon_index).__name__}"
+            )
         if min(digits) < 0 or max(digits) >= BASE:
             bad = next(d for d in digits if not 0 <= d < BASE)
             raise ValueError(f"digit {bad} is out of range 0..59")
@@ -107,7 +114,7 @@ class Transliteration(_Value):
         # part before a semicolon ("0;6"), as the first fractional digit
         # of a headless fraction (";0,45"), or as the lone digit 0.
         if digits[0] == 0 and len(digits) > 1 and semicolon_index not in (0, 1):
-            raise ParseError("leading zero digit is not positional", _skip_whitespace(raw, 0))
+            raise ParseError("leading zero digit is not positional", len(raw) - len(raw.lstrip(" \t")))
         _set_digits(self, digits)
         _set_semicolon_index(self, semicolon_index)
         _set_raw(self, raw)
@@ -140,49 +147,6 @@ _set_semicolon_index = Transliteration.semicolon_index.__set__
 _set_raw = Transliteration.raw.__set__
 
 
-@cache
-def _patterns() -> tuple[re.Pattern[str], re.Pattern[str], re.Pattern[str]]:
-    """The scanner's patterns, compiled on first use: a run of blanks, one
-    digit field with the comma after it, and well-formed fields each with its comma."""
-    return (
-        re.compile(r"[ \t]*"),
-        re.compile(r"[ \t]*([0-9]*)[ \t]*(,?)"),
-        re.compile(r"(?:[ \t]*[1-5]?[0-9][ \t]*,)*"),
-    )
-
-
-def _skip_whitespace(text: str, i: int) -> int:
-    return _patterns()[0].match(text, i).end()
-
-
-def _scan_digits(text: str, i: int, out: list[int]) -> int:
-    """Scan ``digit (',' digit)*`` starting at i; return the next index.
-
-    The well-formed fields that a comma follows are matched as one run
-    and looked up together.  The fields after them are read one at a
-    time, which places any fault.
-    """
-    _, one_field, fields = _patterns()
-    run = fields.match(text, i)
-    tokens = run[0].replace(" ", "").replace("\t", "").split(",")
-    out.extend(map(_DIGIT_VALUE.__getitem__, tokens[:-1]))  # the last is "", after a comma
-    i = run.end()
-    while True:
-        field = one_field.match(text, i)
-        token, start = field[1], field.start(1)
-        value = _DIGIT_VALUE.get(token)
-        if value is None:
-            if not token:
-                raise ParseError("expected a digit", start)
-            if token[0] == "0":
-                raise ParseError(f"zero-padded digit {token!r}", start)
-            raise DigitRangeError(int(token), start)
-        out.append(value)
-        i = field.end()
-        if not field[2]:
-            return i
-
-
 def parse(text: str) -> Transliteration:
     """Tokenize one numeral, reporting the exact spot of any fault."""
     whole, semicolon, fraction = text.partition(";")
@@ -209,25 +173,47 @@ def parse(text: str) -> Transliteration:
 
 
 def _scan(text: str) -> Transliteration:
-    """Tokenize field by field; the fault positions come from here."""
-    digits: list[int] = []
-    semicolon_index: int | None = None
-    i = _skip_whitespace(text, 0)
-    if i == len(text):
-        raise ParseError("empty numeral", i)
-    if text[i] == ";":
-        semicolon_index = 0
-        i = _scan_digits(text, i + 1, digits)
+    """Tokenize as ``parse`` does, blanks allowed; the fault positions come from here.
+
+    The tokens are looked up again without their blanks.  Only the first
+    one that still misses is read further, to name its fault.
+    """
+    whole, semicolon, fraction = text.partition(";")
+    start, semicolon_index = 0, None
+    if not whole.strip(" \t"):
+        if not semicolon:
+            raise ParseError("empty numeral", len(text))
+        start, semicolon_index, tokens = len(whole) + 1, 0, fraction.split(",")  # " ;45" is headless
     else:
-        i = _scan_digits(text, i, digits)
-        if i < len(text) and text[i] == ";":
-            semicolon_index = len(digits)
-            i = _scan_digits(text, i + 1, digits)
-    if i < len(text):
-        if text[i] == ";":
-            raise ParseError("more than one semicolon", i)
-        raise ParseError(f"unexpected character {text[i]!r}", i)
-    return Transliteration(tuple(digits), semicolon_index, text)
+        tokens = whole.split(",")
+        if semicolon:
+            semicolon_index = len(tokens)
+            tokens += fraction.split(",")
+    digits = list(map(_DIGIT_VALUE.get, map(str.strip, tokens, repeat(" \t"))))
+    if None not in digits:
+        return Transliteration(tuple(digits), semicolon_index, text)
+    k = digits.index(None)
+    token = tokens[k]
+    end = start + sum(map(len, tokens[:k])) + k + len(token)  # the column after the token
+    body = token.lstrip(" \t")
+    rest = body.lstrip("0123456789")
+    digit = body[: len(body) - len(rest)]
+    column = end - len(body)
+    if not digit:
+        raise ParseError("expected a digit", column)
+    if digit not in _DIGIT_VALUE:
+        if digit[0] == "0":
+            raise ParseError(f"zero-padded digit {digit!r}", column)
+        try:
+            value = int(digit)
+        except ValueError:  # longer than the interpreter's int/str limit
+            raise ParseError(f"digit of {len(digit)} figures is out of range 0..59", column) from None
+        raise DigitRangeError(value, column)
+    # A good digit with only blanks after it would not have missed: something else follows.
+    column = end - len(rest.lstrip(" \t"))
+    if text[column] == ";":
+        raise ParseError("more than one semicolon", column)
+    raise ParseError(f"unexpected character {text[column]!r}", column)
 
 
 @overload

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,17 @@ class TestParse:
         assert info.value.value == value
         assert info.value.position == position
 
+    @pytest.mark.parametrize(
+        "text, position", [("7" * 5000, 0), ("1," + "7" * 5000, 2)], ids=["alone", "after-a-comma"]
+    )
+    def test_digit_past_the_int_text_limit(self, text, position):
+        # int() of 5,000 figures exceeds the interpreter's default int/str limit.
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
+        if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
+            assert "digit of 5000 figures is out of range" in str(info.value)
+
     def test_unicode_digits_rejected(self):
         with pytest.raises(ParseError):
             parse("١٥")  # Arabic-Indic 15
@@ -109,6 +121,10 @@ class TestTransliterationType:
             Transliteration((0, 5), None, "0,5")
         with pytest.raises(ValueError):
             Transliteration((1, 2), 5, "bad index")
+        # Exact ints only: a float fails later in to_number, a bool reads as 1.
+        for digits, semicolon_index in [((1.5, 2), None), ((True, 2), None), ((1, 2), True)]:
+            with pytest.raises(TypeError, match="must be int"):
+                Transliteration(digits, semicolon_index, "x")
 
 
 class TestToNumber:
@@ -374,6 +390,9 @@ def long_numerals():
     tokens = [str(rng.randrange(1, 60))] + [str(rng.randrange(60)) for _ in range(1510)]
     for fault in ["75", "05", "", "x", " 7 ", "1;2", "\t"]:
         yield ",".join(tokens[:1000] + [fault] + tokens[1001:])
+    yield ",".join(["1 x"] + tokens[1:])  # in the first token
+    yield ",".join(tokens[:-1] + ["60"])  # in the last token
+    yield ",".join(tokens[:700]) + ";" + ",".join(tokens[700:-1] + ["7;8"])  # a second semicolon
     yield ",".join(tokens)
     yield " , ".join(tokens) + " "
     yield "\t,".join(tokens[:700]) + ";" + ",\t".join(tokens[700:])
@@ -386,7 +405,9 @@ class TestScannerAgreesWithTheCharacterReference:
         "text",
         ["05", "60", "0,5", ";0,45", "0;6", "1;2;3", ",5", ";", "", "  0,5", " 1 , 2 ; 3 ",
          "10,12;45", "0", "59,0", "1;", "1,,2", "١", "x", "-5", "1;2,60", "7;05", "1 2",
-         "1,\t", "12,345", "1, 06", "00", "5,9,", "5, ,9", "59 ,59;59 , 0"],
+         "1,\t", "12,345", "1, 06", "00", "5,9,", "5, ,9", "59 ,59;59 , 0",
+         " ;45", "\t;5", " , ;5", "1, ;5", "  ;  ", "5x", "1 ;2", "1;2,3;4",
+         "1\n", "\n5", "5\r", "\u00a05", "5\x0b"],
     )
     def test_explicit_cases(self, text):
         assert outcome(translit._scan, text) == outcome(reference_scan, text)
@@ -396,7 +417,7 @@ class TestScannerAgreesWithTheCharacterReference:
         assert outcome(translit._scan, text) == outcome(reference_scan, text)
         assert outcome(parse, text) == outcome(reference_scan, text)
 
-    @given(st.text(alphabet="0123456789,; \t١x-", max_size=60))
+    @given(st.text(alphabet="0123456789,; \t١x-\n\u00a0", max_size=60))
     def test_any_text(self, text):
         assert outcome(translit._scan, text) == outcome(reference_scan, text)
 
