@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 domain error (irregular number, no finite
 solution, failed verification), 2 usage or notation error, 3 I/O error.
 Commands that report a single value print it bare on the first line and
 repeat it on a stable ``#RESULT`` line for scripting; table commands
-print the raw TSV and nothing else.
+print the raw TSV and nothing else.  ``verify`` takes its modes, its
+summary lines and its ``#RESULT`` fields from ``tables.MODES`` and
+``tables.RELATIONS``; range checks on table sizes and on zero are left
+to the library, whose errors ``main`` maps to exit codes.
 """
 
 from __future__ import annotations
@@ -86,8 +89,6 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 def _cmd_recip(args: argparse.Namespace) -> int:
     value = _read_absolute(args.text)
-    if not value:
-        return _fail(EXIT_DOMAIN, "zero has no reciprocal")
     try:
         anchored = invert(value)
     except IrregularError as exc:
@@ -199,44 +200,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Printed only now: a structural fault anywhere exits 2 before any output.
     for finding in report.findings:
         print(f"row {finding.row_index}: {finding.kind}: {finding.message}")
-    print(f"pairs: {report.counts[tables.PAIR_OK]} ok, {report.counts[tables.PAIR_BAD]} bad")
-    if args.mode == "doubling":
-        print(
-            f"doubling: {report.counts[tables.DOUBLING_OK]} ok,"
-            f" {report.counts[tables.DOUBLING_BAD]} bad"
-        )
-        print(
-            f"halving: {report.counts[tables.HALVING_OK]} ok,"
-            f" {report.counts[tables.HALVING_BAD]} bad"
-        )
-    parse_errors = report.counts[tables.PARSE_ERROR]
+    counts = report.counts
+    for name, ok_kind, bad_kind in tables.MODES[args.mode]:
+        print(f"{name}: {counts[ok_kind]} ok, {counts[bad_kind]} bad")
+    parse_errors = counts[tables.PARSE_ERROR]
     if parse_errors:
         print(f"parse errors: {parse_errors}")
-    print(
-        f"#RESULT ok={'true' if report.ok else 'false'}"
-        f" pair_ok={report.counts[tables.PAIR_OK]}"
-        f" pair_bad={report.counts[tables.PAIR_BAD]}"
-        f" doubling_ok={report.counts[tables.DOUBLING_OK]}"
-        f" doubling_bad={report.counts[tables.DOUBLING_BAD]}"
-        f" halving_ok={report.counts[tables.HALVING_OK]}"
-        f" halving_bad={report.counts[tables.HALVING_BAD]}"
-        f" parse_errors={parse_errors}"
+    # Every relation's counts, whatever the mode, each field named after its kind.
+    fields = "".join(
+        f" {kind.lower()}={counts[kind]}" for _, *kinds in tables.RELATIONS for kind in kinds
     )
+    print(f"#RESULT ok={'true' if report.ok else 'false'}{fields} parse_errors={parse_errors}")
     return EXIT_OK if report.ok else EXIT_DOMAIN
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
-
-
-def _limit_int(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     kind = p.add_subparsers(dest="kind", required=True, metavar="kind")
     d = kind.add_parser("double", help="successive doubling/halving table")
     d.add_argument("--seed", required=True, help="starting value, floating digits")
-    d.add_argument("--rows", required=True, type=_positive_int, help="number of rows")
+    d.add_argument("--rows", required=True, type=int, help="number of rows")
     d.add_argument(
         "--anchor", type=int, default=0,
         help="power of 60 giving the seed its place value (default 0)",
@@ -279,14 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("-o", "--output", help="write to this file instead of stdout")
     d.set_defaults(handler=_cmd_table_double)
     s = kind.add_parser("standard", help="reciprocals of all regular numbers up to a limit")
-    s.add_argument("--limit", required=True, type=_limit_int)
+    s.add_argument("--limit", required=True, type=int)
     s.add_argument("-o", "--output", help="write to this file instead of stdout")
     s.set_defaults(handler=_cmd_table_standard)
 
     p = sub.add_parser("verify", help="check a table file; exit 0 only if clean")
     p.add_argument("file")
     p.add_argument(
-        "--mode", choices=("pairs", "doubling"), default="pairs",
+        "--mode", choices=tables.MODES, default="pairs",
         help="relation families to check (default pairs)",
     )
     p.set_defaults(handler=_cmd_verify)

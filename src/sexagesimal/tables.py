@@ -18,7 +18,10 @@ The table path streams, so memory does not grow with the row count:
 - ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from a
   binary file, read 64 KiB at a time, holding one read of lines at a time.
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
-  the only state that grows, and a count per kind.
+  the only state that grows, and a count per kind.  ``RELATIONS`` names
+  each relation with its OK and BAD kinds, in report order, and
+  ``MODES`` gives the relations each mode checks; the CLI reports from
+  these two tables.
 
 ``verify_table`` builds no value object.  A row is a pair when the
 integers its two cells' digits spell multiply to a power of 60, which
@@ -61,6 +64,16 @@ DOUBLING_BAD = "DOUBLING_BAD"
 HALVING_OK = "HALVING_OK"
 HALVING_BAD = "HALVING_BAD"
 PARSE_ERROR = "PARSE_ERROR"
+
+# The relations verify_table counts, in report order: a name, the kind of a
+# relation that holds and the kind of one that fails.
+RELATIONS = (
+    ("pairs", PAIR_OK, PAIR_BAD),
+    ("doubling", DOUBLING_OK, DOUBLING_BAD),
+    ("halving", HALVING_OK, HALVING_BAD),
+)
+# verify_table's modes, each with the relations it checks.
+MODES = {"pairs": RELATIONS[:1], "doubling": RELATIONS}
 
 
 class TableRow(NamedTuple):
@@ -158,9 +171,10 @@ def verify_table(
     to parse yield a PARSE_ERROR finding for their row and the remaining
     checks continue without them.  The row findings come first, then the
     chain findings, each in row order.  Nothing is ever corrected.  What
-    each mode converts is told in the module docstring.
+    each mode converts is told in the module docstring; which relations
+    it counts, in ``MODES``.
     """
-    if mode not in ("pairs", "doubling"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     doubling = mode == "doubling"
     counts: Counter[str] = Counter()

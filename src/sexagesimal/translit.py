@@ -61,6 +61,9 @@ _PAIR = BASE * BASE
 _POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squared on demand
 _MASKS: dict[int, list[int]] = {}  # levels -> to_number's field mask at each level
 _SHORT = 128  # to_number folds this many digits or fewer one by one
+# An out-of-range digit token of more figures is named by its length, not its
+# value; int() of this many is within any int/str limit that can be set (640 at least).
+_MAX_FIGURES = 20
 # Digit d as the packed-decimal byte 0xTU (T = d // 10, U = d % 10), so that
 # hexlify writes it as two decimal characters; a digit below 10 as 0xAU, whose
 # "a" is deleted after hexlify, as no tens digit is above 5; a byte of 60 or
@@ -204,11 +207,9 @@ def _scan(text: str) -> Transliteration:
     if digit not in _DIGIT_VALUE:
         if digit[0] == "0":
             raise ParseError(f"zero-padded digit {digit!r}", column)
-        try:
-            value = int(digit)
-        except ValueError:  # longer than the interpreter's int/str limit
-            raise ParseError(f"digit of {len(digit)} figures is out of range 0..59", column) from None
-        raise DigitRangeError(value, column)
+        if len(digit) > _MAX_FIGURES:
+            raise ParseError(f"digit of {len(digit)} figures is out of range 0..59", column)
+        raise DigitRangeError(int(digit), column)
     # A good digit with only blanks after it would not have missed: something else follows.
     column = end - len(rest.lstrip(" \t"))
     if text[column] == ";":

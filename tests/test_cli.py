@@ -58,6 +58,12 @@ class TestParseCommand:
         assert code == 2
         assert "99" in err
 
+    def test_long_digit_named_by_its_figures(self, cli):
+        # The message gives the token's length, not its 5,000 figures.
+        assert cli("parse", "7" * 5000) == (
+            2, "", "error: digit of 5000 figures is out of range 0..59 (column 1)\n"
+        )
+
     def test_floating_zero(self, cli):
         code, _, err = cli("parse", "0", "--floating")
         assert code == 2
@@ -87,6 +93,9 @@ class TestRecipCommand:
         code, _, err = cli("recip", "0")
         assert code == 1
         assert "zero" in err
+
+    def test_zero_is_the_library_error(self, cli):
+        assert cli("recip", "0") == (1, "", "error: zero has no reciprocal\n")
 
 
 class TestMulCommand:
@@ -178,6 +187,25 @@ class TestTableCommands:
     def test_limit_must_be_at_least_two(self, cli):
         code, _, _ = cli("table", "standard", "--limit", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("double", "--seed", "10", "--rows", "0"), "count must be at least 1, got 0"),
+            (("standard", "--limit", "1"), "limit must be at least 2, got 1"),
+        ],
+        ids=["rows", "limit"],
+    )
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_size_out_of_range_is_the_library_error(self, cli, tmp_path, argv, message, to_file):
+        # One error line from the library, not a usage message; the limit is checked
+        # only when the first row is asked for, inside the -o write, which must clean up.
+        target = tmp_path / "table.tsv"
+        target.write_bytes(b"old\n")
+        output = ["-o", str(target)] if to_file else []
+        assert cli("table", *argv, *output) == (2, "", f"error: {message}\n")
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [target]  # no temporary file left
 
     def test_unwritable_output(self, cli):
         code, _, err = cli(
@@ -289,6 +317,71 @@ class TestVerifyCommand:
             "row 12: DOUBLING_BAD",
             "row 13: DOUBLING_BAD",
         ]
+
+    # The whole report, byte for byte: findings, one line per relation the mode
+    # checks, parse errors when there are any, and #RESULT with every relation.
+    CORRUPT_FINDINGS = (
+        "row 7: PAIR_BAD: 10,41 and 0;0,5,37,30 are not a reciprocal pair\n"
+        "row 12: PARSE_ERROR: reciprocal '0;0;0,10,32,48,45': more than one semicolon"
+        " (column 4)\n"
+        "row 20: PARSE_ERROR: value '24,16,21,20x': unexpected character 'x' (column 12)\n"
+    )
+    REPORTS = {
+        ("golden", "pairs"): (
+            0,
+            "pairs: 30 ok, 0 bad\n"
+            "#RESULT ok=true pair_ok=30 pair_bad=0 doubling_ok=0 doubling_bad=0"
+            " halving_ok=0 halving_bad=0 parse_errors=0\n",
+        ),
+        ("golden", "doubling"): (
+            0,
+            "pairs: 30 ok, 0 bad\n"
+            "doubling: 29 ok, 0 bad\n"
+            "halving: 29 ok, 0 bad\n"
+            "#RESULT ok=true pair_ok=30 pair_bad=0 doubling_ok=29 doubling_bad=0"
+            " halving_ok=29 halving_bad=0 parse_errors=0\n",
+        ),
+        ("corrupt", "pairs"): (
+            1,
+            CORRUPT_FINDINGS
+            + "pairs: 27 ok, 1 bad\n"
+            "parse errors: 2\n"
+            "#RESULT ok=false pair_ok=27 pair_bad=1 doubling_ok=0 doubling_bad=0"
+            " halving_ok=0 halving_bad=0 parse_errors=2\n",
+        ),
+        ("corrupt", "doubling"): (
+            1,
+            CORRUPT_FINDINGS
+            + "row 7: DOUBLING_BAD: value is not the double of row 6's\n"
+            "row 8: DOUBLING_BAD: value is not the double of row 7's\n"
+            "pairs: 27 ok, 1 bad\n"
+            "doubling: 25 ok, 2 bad\n"
+            "halving: 27 ok, 0 bad\n"
+            "parse errors: 2\n"
+            "#RESULT ok=false pair_ok=27 pair_bad=1 doubling_ok=25 doubling_bad=2"
+            " halving_ok=27 halving_bad=0 parse_errors=2\n",
+        ),
+    }
+
+    @staticmethod
+    def corrupt_golden(path):
+        """The golden table with a flipped value digit, a ',' made ';' in a
+        reciprocal, an unparseable cell and a cell spelled with blanks."""
+        rows = [line.split("\t") for line in Path(str_golden_path()).read_text().splitlines()]
+        rows[6][1] = rows[6][1][:-1] + "1"  # 10,40 -> 10,41
+        rows[11][2] = rows[11][2].replace(",", ";", 1)
+        rows[19][1] += "x"
+        rows[24][1] = " " + rows[24][1].replace(",", " , ") + " "
+        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+
+    @pytest.mark.parametrize("table, mode", list(REPORTS))
+    def test_whole_report(self, cli, tmp_path, table, mode):
+        path = Path(str_golden_path())
+        if table == "corrupt":
+            path = tmp_path / "corrupt.tsv"
+            self.corrupt_golden(path)
+        code, out = self.REPORTS[table, mode]
+        assert cli("verify", "--mode", mode, str(path)) == (code, out, "")
 
     def test_missing_file(self, cli):
         code, _, err = cli("verify", "/no/such/file.tsv")

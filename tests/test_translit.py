@@ -96,6 +96,23 @@ class TestParse:
         if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000:
             assert "digit of 5000 figures is out of range" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text, position", [("1" * 21, 0), ("1, " + "9" * 4000, 3)], ids=["21", "4000-after-a-comma"]
+    )
+    def test_long_digit_named_by_its_figures(self, text, position):
+        figures = len(text) - position
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert type(info.value) is ParseError
+        assert str(info.value) == (
+            f"digit of {figures} figures is out of range 0..59 (column {position + 1})"
+        )
+
+    def test_twenty_figures_still_give_the_value(self):
+        with pytest.raises(DigitRangeError) as info:
+            parse("9" * 20)
+        assert info.value.value == 10**20 - 1
+
     def test_unicode_digits_rejected(self):
         with pytest.raises(ParseError):
             parse("١٥")  # Arabic-Indic 15
@@ -356,6 +373,8 @@ def reference_scan(text):
             token = text[start:i]
             if len(token) > 1 and token[0] == "0":
                 raise ParseError(f"zero-padded digit {token!r}", start)
+            if len(token) > 20:  # named by its length, not its value
+                raise ParseError(f"digit of {len(token)} figures is out of range 0..59", start)
             if int(token) >= 60:
                 raise DigitRangeError(int(token), start)
             out.append(int(token))
