@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from decimal import Decimal
 from pathlib import Path
@@ -63,6 +64,12 @@ class TestParseCommand:
         assert cli("parse", "7" * 5000) == (
             2, "", "error: digit of 5000 figures is out of range 0..59 (column 1)\n"
         )
+
+    def test_long_zero_padded_digit_named_by_its_figures(self, cli):
+        assert cli("parse", "0" + "7" * 5000) == (
+            2, "", "error: zero-padded digit of 5001 figures (column 1)\n"
+        )
+        assert cli("parse", "07") == (2, "", "error: zero-padded digit '07' (column 1)\n")
 
     def test_floating_zero(self, cli):
         code, _, err = cli("parse", "0", "--floating")
@@ -147,6 +154,25 @@ class TestTableCommands:
         assert code == 0 and len(out) > 2 << 16
         assert cli(*command, "-o", str(target)) == (0, "", "")
         assert target.read_bytes() == out.encode()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_output_to_a_named_pipe(self, cli, tmp_path, golden_text):
+        # A pipe is no file to swap: it is opened as named and written in place.
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            result = cli("table", "double", "--seed", "10", "--rows", "30", "-o", str(fifo))
+        finally:
+            reader.join(timeout=30)
+            if reader.is_alive():  # the table never opened the pipe: let the reader's open return
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+                reader.join(timeout=30)
+        assert result == (0, "", "")
+        assert received == [golden_text.encode()]
+        assert [p.name for p in tmp_path.iterdir()] == ["table.fifo"]  # no temporary file
 
     def test_deterministic(self, cli):
         first = cli("table", "standard", "--limit", "300")

@@ -1,6 +1,7 @@
 """Canonical base-60 values: worked examples plus algebraic laws."""
 
 import copy
+import operator
 import pickle
 import random
 import sys
@@ -179,6 +180,14 @@ class TestValueObjects:
         finally:
             sys.set_int_max_str_digits(original)
 
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.mul, operator.lt], ids=["add", "mul", "lt"]
+    )
+    def test_arithmetic_with_a_plain_int_is_a_type_error(self, op):
+        # The operator returns NotImplemented, and int has no reflected form for a SexNumber.
+        with pytest.raises(TypeError):
+            op(SexNumber(1), 1)
+
 
 def same_fields(a, b):
     fields = lambda x: [(type(getattr(x, n)), getattr(x, n)) for n in x.__slots__]
@@ -190,7 +199,6 @@ def same_fields(a, b):
 # odd and even ones, and zero.
 EDGE_MANTISSAS = [0, 1, 2, 15, 29, 30, 31, 45, 59, 60, 61, 90, 120, 900, 1800, 3600,
                   7 * 60**5, 30 * 60**9 + 30, 2**100, 3**80, 60**40 - 1]
-
 
 class TestTrustedPathsAgreeWithTheChecks:
     """double, halve and to_floating against a constructor call on the mantissa each stands for."""

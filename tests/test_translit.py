@@ -371,6 +371,8 @@ def reference_scan(text):
             if i == start:
                 raise ParseError("expected a digit", start)
             token = text[start:i]
+            if len(token) > 20 and token[0] == "0":  # named by its length, not its figures
+                raise ParseError(f"zero-padded digit of {len(token)} figures", start)
             if len(token) > 1 and token[0] == "0":
                 raise ParseError(f"zero-padded digit {token!r}", start)
             if len(token) > 20:  # named by its length, not its value
@@ -443,6 +445,116 @@ class TestScannerAgreesWithTheCharacterReference:
     @given(numeral_texts)
     def test_near_numerals(self, text):
         assert outcome(translit._scan, text) == outcome(reference_scan, text)
+
+
+def lookup_reading(text):
+    """What _run must return: the digits and semicolon index parse's lookup finds, or None.
+
+    None where the lookup misses, and for a headless fraction (";45"),
+    which only the lookup reads.
+    """
+    whole, semicolon, fraction = text.partition(";")
+    if semicolon and not whole:
+        return None
+    try:
+        digits = [translit._DIGIT_VALUE[token] for token in whole.split(",")]
+        point = len(digits) if semicolon else None
+        if semicolon:
+            digits += [translit._DIGIT_VALUE[token] for token in fraction.split(",")]
+    except KeyError:
+        return None
+    return bytes(digits), point
+
+
+def by_lookup(text):
+    """parse's outcome with every numeral split and looked up, none read as one run."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(translit, "_WIDE", sys.maxsize)
+        return outcome(parse, text)
+
+
+def run_of(length, rng):
+    """Good digit tokens, comma-separated, exactly length characters in all."""
+    parts, left = [], length
+    while left > 3:
+        token = str(rng.randrange(60))
+        parts.append(token + ",")
+        left -= len(token) + 1
+    parts.append({1: str(rng.randrange(10)), 2: str(rng.randrange(10, 60))}.get(left, "7,7"))
+    return "".join(parts)
+
+
+# Each fault stands in for one token of a long run.  In "333" the middle
+# byte, 33 once its tens are added, reads 0xA1 when marked: a mark _run deletes.
+RUN_FAULTS = ["60", "07", "00", "123", "333", "", " 5", "5x", ";", "١"]
+
+
+class TestLongRunReader:
+    """_run reads a long numeral as one integer; parse's outcomes stay the lookup's."""
+
+    def test_every_short_text(self):
+        for length in range(1, 6):
+            for text in map("".join, itertools.product("0159,6 ;x", repeat=length)):
+                assert translit._run(text) == lookup_reading(text), text
+
+    def test_every_token_of_up_to_three_figures(self):
+        run = ",".join(["59", "7"] * 80)
+        for token in map(str, range(1000)):
+            for figures in (token, token.zfill(2), token.zfill(3)):
+                for text in (figures, f"{run},{figures},{run}", f"{figures},{run}",
+                             f"{run},{figures}", f"{run};{figures}", f"{figures};{run}"):
+                    assert translit._run(text) == lookup_reading(text), text
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.integers(0, 59), min_size=50, max_size=400),
+        st.sampled_from(RUN_FAULTS),
+        st.data(),
+    )
+    def test_one_fault_in_any_token(self, digits, fault, data):
+        tokens = list(map(str, digits))
+        k = data.draw(st.sampled_from([0, len(tokens) - 1]) | st.integers(0, len(tokens) - 1))
+        tokens[k] = fault
+        cut = data.draw(st.none() | st.integers(1, len(tokens) - 1))  # where a semicolon goes
+        if cut is None:
+            text = ",".join(tokens)
+        else:
+            text = ",".join(tokens[:cut]) + ";" + ",".join(tokens[cut:])
+        assert translit._run(text) is None
+        assert outcome(parse, text) == outcome(reference_scan, text) == by_lookup(text)
+        padded = "05," + ",".join(map(str, digits))  # a zero-padded token before a good run
+        assert translit._run(padded) is None
+        assert outcome(parse, padded) == outcome(reference_scan, padded)
+
+    @given(st.lists(st.integers(0, 59), min_size=1, max_size=400), st.data())
+    def test_any_good_run(self, digits, data):
+        cut = data.draw(st.none() | st.integers(1, len(digits)))
+        tokens = list(map(str, digits))
+        if cut is None or cut == len(digits):
+            text = ",".join(tokens)
+        else:
+            text = ",".join(tokens[:cut]) + ";" + ",".join(tokens[cut:])
+            assert translit._run(text) == (bytes(digits), cut)
+            return
+        assert translit._run(text) == (bytes(digits), None)
+
+    @pytest.mark.parametrize("length", [translit._WIDE - 1, translit._WIDE, translit._WIDE + 1])
+    def test_switch_at_the_width(self, length):
+        rng = random.Random(length)
+        for _ in range(20):
+            side = run_of(length, rng)
+            assert len(side) == length and translit._run(side) == lookup_reading(side)
+            comma = side.rindex(",", 0, length - 1)
+            inside = side[:comma] + ";" + side[comma + 1:]
+            short = run_of(length - 2, rng)
+            texts = [
+                side, inside, ";" + side[1:], short + ";0", "0;" + short, side[:-1] + ";",
+                "0" + side[1:], "0;" + side[2:], side[:-2] + ";0", inside[:-2] + ";1",
+                " " + side[1:], side[:-1] + "\t", side[:-2] + ";x", "05" + side[2:],
+            ]
+            for text in texts:
+                assert len(text) == length, text
+                assert outcome(parse, text) == by_lookup(text), text
 
 
 def digits_oracle(mantissa):
