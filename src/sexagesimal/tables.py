@@ -14,7 +14,8 @@ The table path streams, so memory does not grow with the row count:
 - ``generate_doubling`` returns an iterator of numbered ``TableRow``s
   that keeps only the current row; ``generate_standard`` returns a
   tuple of them, built from the same row generator the CLI streams.
-- ``table_tsv`` and ``doubling_tsv`` yield one file line per row.
+- ``table_tsv`` yields one file line per row; ``doubling_tsv`` is
+  ``table_tsv`` of a doubling chain.
 - ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from a
   binary file, read 64 KiB at a time, holding one read of lines at a time.
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
@@ -26,20 +27,20 @@ The table path streams, so memory does not grow with the row count:
 ``verify_table`` builds no value object.  A row is a pair when the
 integers its two cells' digits spell multiply to a power of 60, which
 trailing zero digits do not change; pairs mode computes this for every
-row.  Doubling mode compares cells on their digits, packed one per
-byte into an int (``translit.Digits``) and doubled or halved in place,
+row.  Doubling mode reads cells as ``translit.Digits``, base-60 digits
+packed one per byte into an int, which double and halve themselves,
 and computes a row's pair only when it does not follow from the row
 before: if row i-1 is a reciprocal pair and row i doubles its value
 and halves its reciprocal, row i is one too, as (2x)(y/2) = xy.  A
 clean table converts row 1 alone, and no chain check converts at all.
 
-``doubling_tsv`` writes a doubling table the way it is defined: row 1
-is spelled from its values and read back into packed digits, and
-every later row is the row before, doubled and halved in packed form
-and rendered by ``translit.format`` without a base-60 conversion, so
-no value is built after row 1.  ``table_tsv`` spells any rows, each
-from its own values.  The packed steps are tested against ``format``
-of every row's binary values, which shares no code with them.
+There is one doubling chain, ``_doubling_rows``, which steps whatever
+doubles and halves: ``generate_doubling`` walks it on value objects,
+and ``doubling_tsv`` on the ``Digits`` of row 1, so no value is built
+and no base-60 conversion is made after row 1.  There is one line
+writer, ``table_tsv``, which spells each row from its own cells with
+``translit.format``.  The tests compare the two walks' lines, and
+``format`` of value objects shares no code with the packed steps.
 
 Table file format (bit-exact): UTF-8, one row per line, three
 TAB-separated fields ``index<TAB>value<TAB>reciprocal``, every line
@@ -77,11 +78,12 @@ MODES = {"pairs": RELATIONS[:1], "doubling": RELATIONS}
 
 
 class TableRow(NamedTuple):
-    """One table line: a floating value and its anchored or floating reciprocal."""
+    """One table line: a floating value and its anchored or floating reciprocal,
+    as value objects or, in a doubling chain, as the ``Digits`` that spell them."""
 
     index: int
-    value: FloatingSex
-    reciprocal: SexNumber | FloatingSex
+    value: FloatingSex | Digits
+    reciprocal: SexNumber | FloatingSex | Digits
 
 
 def generate_doubling(
@@ -104,7 +106,9 @@ def generate_doubling(
     return _doubling_rows(seed, invert(seed.anchor(anchor_exponent)), count)
 
 
-def _doubling_rows(value: FloatingSex, rec: SexNumber, count: int) -> Iterator[TableRow]:
+def _doubling_rows(
+    value: FloatingSex | Digits, rec: SexNumber | Digits, count: int
+) -> Iterator[TableRow]:
     yield TableRow(1, value, rec)
     for index in range(2, count + 1):
         value = value.double()
@@ -155,7 +159,7 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.findings
 
-    def bad(self) -> tuple[Finding, ...]:  # read only by bench/spans.py
+    def bad(self) -> tuple[Finding, ...]:  # read by bench/spans.py and the tests
         return self.findings
 
 
@@ -190,12 +194,12 @@ def verify_table(
         return holds
 
     def parse_cell(index, field, text, reading):
-        """(numeral, its packed digits in doubling mode or the numeral again), or (None, None)."""
+        """(numeral, its Digits in doubling mode or the numeral again), or (None, None)."""
         try:
             numeral = translit.parse(text)
             if reading == "floating" and not any(numeral.digits):
                 translit.to_number(numeral, reading)  # all zero: raises before building a value
-            return numeral, _packed(numeral, reading) if doubling else numeral
+            return numeral, Digits.read(numeral, reading) if doubling else numeral
         except ValueError as exc:  # covers ParseError and the floating-zero case
             counts[PARSE_ERROR] += 1
             row_findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
@@ -208,11 +212,11 @@ def verify_table(
         proved = False
         if doubling:
             doubled = prev_value is not None and value is not None and record(
-                value == _double(prev_value), DOUBLING_OK, DOUBLING_BAD,
+                value == prev_value.double(), DOUBLING_OK, DOUBLING_BAD,
                 index, "value is not the double of row {}'s", prev_index,
             )
             halved = prev_rec is not None and rec is not None and record(
-                rec == _halve(prev_rec), HALVING_OK, HALVING_BAD,
+                rec == prev_rec.halve(), HALVING_OK, HALVING_BAD,
                 index, "reciprocal is not half of row {}'s", prev_index,
             )
             proved = prev_pair and doubled and halved
@@ -233,70 +237,18 @@ def verify_table(
     return VerificationReport(tuple(row_findings + chain_findings), counts)
 
 
-def _packed(numeral: translit.Transliteration, reading: str) -> Digits:
-    """A cell's value as its digits packed one per byte, trailing zero digits cut off.
-
-    The floating reading keeps no exponent, the absolute reading the one
-    its semicolon gives; both are canonical, so they are equal exactly
-    when the numbers are.  All zero digits are ``Digits(0, 0)``.
-    """
-    digits = numeral.digits
-    block = bytearray(digits).rstrip(b"\0")  # bytearray: twice as fast as bytes from a tuple
-    if not block:
-        return Digits(0, 0)
-    packed = int.from_bytes(block, "big")
-    if reading == "floating":
-        return Digits(packed)
-    point = len(digits) if numeral.semicolon_index is None else numeral.semicolon_index
-    return Digits(packed, point - len(block))
-
-
-def _double(value: Digits) -> Digits:
-    """Floating digits of twice the value: each digit d becomes 2d,
-    less 60 with a carry of 1 into the next place where 2d >= 60."""
-    packed = value.packed
-    ones = translit._ones((packed.bit_length() + 7) >> 3)
-    doubled = packed << 1  # every byte 2d <= 118, so 2d + 0x44 sets bit 7 just when 2d >= 60
-    carries = ((doubled + 0x44 * ones) & (ones << 7)) >> 7
-    doubled += (carries << 8) - 60 * carries
-    # A last digit of 30 leaves 0 in its place; the carried 1 above it is not 0.
-    return Digits(doubled if doubled & 0xFF else doubled >> 8)
-
-
-def _halve(rec: Digits) -> Digits:
-    """Absolute digits of half the value: each digit d leaves d >> 1
-    one place up and 30 * (d & 1) in its own place, one place lower."""
-    packed, exponent = rec
-    if not packed:
-        return rec
-    odd = packed & translit._ones((packed.bit_length() + 7) >> 3)
-    halved = ((packed - odd) << 7) + 30 * odd  # (packed - odd) >> 1, one byte up
-    # An even last digit leaves 0 in its place; the half of it above is not 0.
-    return Digits(halved, exponent - 1) if halved & 0xFF else Digits(halved >> 8, exponent)
-
-
 def doubling_tsv(
     seed: FloatingSex | int, count: int, anchor_exponent: int = 0
 ) -> Iterator[str]:
     """The lines of ``table_tsv(generate_doubling(seed, count, anchor_exponent))``.
 
-    Row 1 is spelled from its values and read back into packed digits;
-    every later row is the row before doubled and halved by ``_double``
-    and ``_halve``, and spelled from those digits, so no row after the
-    first builds a value or converts base 60.  The seed and the count
-    are checked at the call, as generate_doubling checks them.
+    The chain is walked on the ``Digits`` of row 1, so every row is
+    spelled from packed digits and no row after the first builds a value
+    or converts base 60.  The seed and the count are checked at the
+    call, as generate_doubling checks them.
     """
-    return _doubling_lines(next(generate_doubling(seed, count, anchor_exponent)), count)
-
-
-def _doubling_lines(first: TableRow, count: int) -> Iterator[str]:
-    value_text, rec_text = translit.format(first.value), translit.format(first.reciprocal)
-    yield f"1\t{value_text}\t{rec_text}\n"
-    value = _packed(translit.parse(value_text), "floating")
-    rec = _packed(translit.parse(rec_text), "absolute")
-    for index in range(2, count + 1):
-        value, rec = _double(value), _halve(rec)
-        yield f"{index}\t{translit.format(value)}\t{translit.format(rec)}\n"
+    first = next(generate_doubling(seed, count, anchor_exponent))
+    return table_tsv(_doubling_rows(Digits.of(first.value), Digits.of(first.reciprocal), count))
 
 
 def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:

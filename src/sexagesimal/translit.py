@@ -44,11 +44,6 @@ Timed through ``parse`` on random numerals (best of 15, twice, Python
 3.11, 2 shared vCPUs), they were within 0.05 us of each other at 101
 characters (3.0-3.1 us), and the run was faster from 113 characters
 on, by more with every token: 24 against 54-56 us at 2,407 characters.
-This is not the spelling that ``format`` does run backwards, which
-padded every token to two figures with a regex and called
-``bytes.fromhex``, and was slower than the lookup on long and short
-cells alike: here there is no regex and no padding, and a short
-numeral keeps the lookup.
 
 Long numbers convert by divide and conquer over the cached powers
 60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010, §1.7):
@@ -59,8 +54,11 @@ one packed integer.  Either way the Python-level work per digit no
 longer grows with the length, only a few big-integer steps per level.
 
 Digits that are already base 60 need no conversion at all.  ``Digits``
-holds them packed one per byte into one int, as the table writer and
-the verifier step them, and ``format`` spells them in three
+holds them packed one per byte into one int and steps them with a few
+whole-int operations: ``double`` shifts left one bit, finds the bytes
+that reached 60 by adding 0x44 to each and reading bit 7, and there
+subtracts 60 and carries 1 up; ``halve`` moves ``d >> 1`` one byte up
+and leaves ``30 * (d & 1)`` in place.  ``format`` spells them in three
 whole-buffer calls: ``bytes.translate`` turns each digit d into the
 packed-decimal byte ``(d // 10) << 4 | d % 10``, or ``0xA0 | d`` below
 10, ``binascii.hexlify`` writes every byte as two characters with a
@@ -175,11 +173,55 @@ class Digits(NamedTuple):
     The first and the last digit are not zero.  With ``exponent`` None
     the digits are a floating digit string; with an int they are the
     value m * 60**exponent, m the integer they spell, as a SexNumber's
-    (mantissa, exponent).  Zero is ``Digits(0, 0)``.
+    (mantissa, exponent).  Zero is ``Digits(0, 0)``.  Both readings are
+    canonical, so two ``Digits`` are equal exactly when their numbers are.
     """
 
     packed: int
     exponent: int | None = None
+
+    @classmethod
+    def of(cls, value: SexNumber | FloatingSex) -> Digits:
+        """A nonzero value's digits, floating for a FloatingSex, anchored for a SexNumber."""
+        packed = int.from_bytes(_run(_text_of(value.mantissa))[0], "big")
+        return cls(packed, value.exponent if isinstance(value, SexNumber) else None)
+
+    @classmethod
+    def read(cls, numeral: Transliteration, reading: str) -> Digits:
+        """A parsed numeral's digits, read "floating" or "absolute" as ``to_number`` reads them."""
+        digits = numeral.digits
+        block = bytearray(digits).rstrip(b"\0")  # bytearray: twice as fast as bytes from a tuple
+        if not block:
+            return cls(0, 0)
+        packed = int.from_bytes(block, "big")
+        if reading == "floating":
+            return cls(packed)
+        point = len(digits) if numeral.semicolon_index is None else numeral.semicolon_index
+        return cls(packed, point - len(block))
+
+    def double(self) -> Digits:
+        """Twice the value: each digit d becomes 2d, less 60 and a carry of 1 up where 2d >= 60."""
+        packed, exponent = self
+        if not packed:
+            return self
+        ones = _ones((packed.bit_length() + 7) >> 3)
+        doubled = packed << 1  # every byte 2d <= 118, so 2d + 0x44 sets bit 7 just when 2d >= 60
+        carries = ((doubled + 0x44 * ones) & (ones << 7)) >> 7
+        doubled += (carries << 8) - 60 * carries
+        if doubled & 0xFF:
+            return Digits(doubled, exponent)
+        # A last digit of 30 leaves 0 in its place; the carried 1 above it is not 0.
+        return Digits(doubled >> 8, None if exponent is None else exponent + 1)
+
+    def halve(self) -> Digits:
+        """Half the value: each digit d leaves d >> 1 one place up and 30 * (d & 1) in place."""
+        packed, exponent = self  # a zero halves to itself below, with no case of its own
+        odd = packed & _ones((packed.bit_length() + 7) >> 3)
+        halved = ((packed - odd) << 7) + 30 * odd  # (packed - odd) >> 1, one byte up
+        if halved & 0xFF:
+            return Digits(halved, None if exponent is None else exponent - 1)
+        # An even last digit leaves 0 in its place; the half of it above is not 0.
+        return Digits(halved >> 8, exponent)
 
 
 _set_digits = Transliteration.digits.__set__
@@ -362,7 +404,7 @@ def _value_of(digits: tuple[int, ...]) -> int:
             int.from_bytes((b"\xff" * (1 << j) + bytes(1 << j)) * (1 << levels - j - 1), "little")
             for j in range(levels)
         ]
-    packed = int.from_bytes(bytes(digits), "big")
+    packed = int.from_bytes(bytearray(digits), "big")
     for j, low in enumerate(masks):
         packed = (packed >> (8 << j) & low) * _power(j) + (packed & low)
     return packed

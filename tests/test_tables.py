@@ -343,7 +343,7 @@ def numerals_from(digits, semicolon_index):
 
 
 class TestPackedChainSteps:
-    """Doubling and halving on packed digits against FloatingSex.double and SexNumber.halve."""
+    """Digits.double and Digits.halve, floating and anchored, against the value objects' own."""
 
     @pytest.mark.parametrize(
         "text",
@@ -391,15 +391,43 @@ class TestPackedChainSteps:
     @staticmethod
     def check(numeral):
         absolute = translit.to_number(numeral, "absolute")
-        packed = tables._packed(numeral, "absolute")
+        packed = Digits.read(numeral, "absolute")
         assert packed == (packed_oracle(absolute.mantissa), absolute.exponent)
-        half = absolute.halve()
-        assert tables._halve(packed) == (packed_oracle(half.mantissa), half.exponent)
+        for step in ("double", "halve"):
+            stepped = getattr(absolute, step)()
+            assert getattr(packed, step)() == (packed_oracle(stepped.mantissa), stepped.exponent)
         if absolute:
             floating = translit.to_number(numeral, "floating")
-            packed = tables._packed(numeral, "floating")
+            packed = Digits.read(numeral, "floating")
             assert packed == Digits(packed_oracle(floating.mantissa))
-            assert tables._double(packed) == Digits(packed_oracle(floating.double().mantissa))
+            for step in ("double", "halve"):
+                stepped = getattr(floating, step)()
+                assert getattr(packed, step)() == Digits(packed_oracle(stepped.mantissa))
+
+
+class TestDigitsOfAValue:
+    """Digits.of packs a value's digits as Digits.read packs those of its parsed text."""
+
+    LONG_SEED = 3**200 * 2**7  # 157 characters, so its text is read by translit._run
+
+    @pytest.mark.parametrize("anchor", range(-3, 4))
+    @pytest.mark.parametrize("seed", [1, 2, 10, 81, 450, LONG_SEED])
+    def test_doubling_rows(self, seed, anchor):
+        for row in generate_doubling(seed, 40, anchor):
+            for value, reading in ((row.value, "floating"), (row.reciprocal, "absolute")):
+                expected = Digits.read(translit.parse(translit.format(value)), reading)
+                assert Digits.of(value) == expected
+                assert expected.packed == packed_oracle(value.mantissa)
+
+    def test_the_long_seed_is_long(self):
+        assert len(translit.format(FloatingSex(self.LONG_SEED))) == 157
+
+    @given(st.integers(1, 60**400), st.integers(-5, 5))
+    def test_any_value(self, mantissa, exponent):
+        value = SexNumber(mantissa, exponent)
+        assert Digits.of(value) == Digits.read(translit.parse(translit.format(value)), "absolute")
+        floating = value.to_floating()
+        assert Digits.of(floating) == Digits(packed_oracle(floating.mantissa))
 
 
 def reference_verify_table(rows, mode):
@@ -689,10 +717,10 @@ class TestWriterAgreesWithFormatOfEachValue:
 
     @staticmethod
     def written(lines, monkeypatch):
-        """The text of a writer's lines, and how many rows it stepped with _double."""
+        """The text of a writer's lines, and how many rows it stepped with Digits.double."""
         steps = []
-        double = tables._double
-        monkeypatch.setattr(tables, "_double", lambda value: steps.append(1) or double(value))
+        double = Digits.double
+        monkeypatch.setattr(Digits, "double", lambda value: steps.append(1) or double(value))
         return "".join(lines), len(steps)
 
     @pytest.mark.parametrize("anchor", range(-3, 4))
