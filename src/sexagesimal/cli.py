@@ -194,7 +194,7 @@ def _cmd_table_standard(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # parse_tsv reads 64 KiB at a time and decodes whole lines: a bad byte names its line.
+    # parse_tsv reads 64 KiB at a time and names a fault's line; a bad byte's column too.
     with open(args.file, "rb") as handle:
         report = tables.verify_table(tables.parse_tsv(handle), args.mode)
     # Printed only now: a structural fault anywhere exits 2 before any output.

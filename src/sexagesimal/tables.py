@@ -17,7 +17,7 @@ The table path streams, so memory does not grow with the row count:
 - ``table_tsv`` yields one file line per row; ``doubling_tsv`` is
   ``table_tsv`` of a doubling chain.
 - ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from a
-  binary file, read 64 KiB at a time, holding one read of lines at a time.
+  binary file read 64 KiB at a time, and stops at a fault's line, naming it.
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
   the only state that grows, and a count per kind.  ``RELATIONS`` names
   each relation with its OK and BAD kinds, in report order, and
@@ -268,10 +268,12 @@ def parse_tsv(file: BinaryIO) -> Iterator[tuple[int, str, str]]:
     file is opened in binary mode and read 64 KiB at a time, by
     ``file.read`` alone; one read and one unfinished line are held.  The
     line structure is rigid: LF-terminated lines of three TAB-separated
-    fields with an index of ASCII digits.  Structural faults raise
-    ValueError naming the line, after the rows before it: any carriage
-    return, bytes that are not UTF-8, a last line without its LF.
-    Number notation inside the fields is left to verify_table.
+    fields with an index of ASCII digits.  After the rows before it, a
+    fault raises ValueError naming its line: bytes that are not UTF-8 (by
+    the decoder's column), else any carriage return, else a missing last
+    LF, else the fields.  A block of whole lines is decoded at once; one
+    that fails to decode or holds a CR, and the unfinished last line, are
+    decoded line by line.  Number notation is left to verify_table.
     """
     lineno = 0
     pending: list[bytes] = []  # the start of a line whose LF has not come yet
@@ -282,10 +284,31 @@ def parse_tsv(file: BinaryIO) -> Iterator[tuple[int, str, str]]:
             pending.append(chunk)
             continue
         pending.append(chunk[:end])  # at the end of the file, the unfinished line alone
-        lines, fault = _whole_lines(b"".join(pending), lineno)
+        block = b"".join(pending)
         pending = [chunk[end:]]
+        careful = not chunk or b"\r" in block  # read line by line: the last line, or a CR
+        try:
+            lines = block.split(b"\n") if careful else block.decode("utf-8").split("\n")
+        except UnicodeDecodeError:  # and bytes that are not UTF-8
+            careful, lines = True, block.split(b"\n")
+        if not lines[-1]:  # what follows the last LF: nothing, or the unfinished last line
+            lines.pop()
         for line in lines:
             lineno += 1
+            if careful:
+                try:  # with its LF, so a character cut off at the end reads as cut
+                    line = (line + b"\n").decode("utf-8")[:-1]
+                except UnicodeDecodeError as exc:
+                    raise ValueError(
+                        f"line {lineno}: 'utf-8' codec can't decode byte {line[exc.start]:#04x}"
+                        f" in column {exc.start + 1}: {exc.reason}"
+                    ) from None
+                if "\r" in line:
+                    raise ValueError(
+                        f"line {lineno}: carriage return found; lines must end in LF only"
+                    )
+                if not chunk:
+                    raise ValueError(f"line {lineno}: the file does not end in LF")
             fields = line.split("\t")
             if len(fields) != 3:
                 raise ValueError(
@@ -299,40 +322,5 @@ def parse_tsv(file: BinaryIO) -> Iterator[tuple[int, str, str]]:
             except ValueError as exc:  # longer than the interpreter's int/str limit
                 raise ValueError(f"line {lineno}: index of {len(index)} digits: {exc}") from None
             yield number, fields[1], fields[2]
-        if fault is not None:
-            raise fault
         if not chunk:
             return
-
-
-def _whole_lines(block: bytes, lineno: int) -> tuple[list[str], ValueError | None]:
-    """The lines, LFs cut off, of a block of a file that follows its line lineno.
-
-    The block ends in an LF, or at the end of the file.  Returns the
-    lines before the first one with a fault (a CR, bytes that are not
-    UTF-8, or a last line without its LF) and that fault, which names
-    its line, or None.
-    """
-    fault = None
-    unended = block and not block.endswith(b"\n")  # the end of the file, without its LF
-    try:  # decoded with the LF, so a character cut at the end reads as cut, not as the end
-        text = (block + b"\n" if unended else block).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        start = block.rfind(b"\n", 0, exc.start) + 1
-        bad = lineno + block.count(b"\n", 0, start) + 1
-        fault = ValueError(
-            f"line {bad}: 'utf-8' codec can't decode byte {block[exc.start]:#04x}"
-            f" in column {exc.start - start + 1}: {exc.reason}"
-        )
-        text = block[:start].decode("utf-8")
-    cr = text.find("\r")
-    if cr >= 0:
-        text = text[:cr]
-        bad = lineno + text.count("\n") + 1
-        fault = ValueError(f"line {bad}: carriage return found; lines must end in LF only")
-    lines = text.split("\n")
-    lines.pop()  # after the last LF, or the start of the line with the fault
-    if unended and fault is None:
-        lines.pop()
-        fault = ValueError(f"line {lineno + len(lines) + 1}: the file does not end in LF")
-    return lines, fault

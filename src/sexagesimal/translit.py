@@ -192,10 +192,14 @@ class Digits(NamedTuple):
         digits = numeral.digits
         block = bytearray(digits).rstrip(b"\0")  # bytearray: twice as fast as bytes from a tuple
         if not block:
+            if reading != "absolute":
+                to_number(numeral, reading)  # raises: no floating zero, or an unknown reading
             return cls(0, 0)
         packed = int.from_bytes(block, "big")
         if reading == "floating":
             return cls(packed)
+        if reading != "absolute":
+            to_number(numeral, reading)  # raises: an unknown reading
         point = len(digits) if numeral.semicolon_index is None else numeral.semicolon_index
         return cls(packed, point - len(block))
 

@@ -429,6 +429,21 @@ class TestDigitsOfAValue:
         floating = value.to_floating()
         assert Digits.of(floating) == Digits(packed_oracle(floating.mantissa))
 
+    @pytest.mark.parametrize("text", ["1,30", ";0,45", "0", "0;0"])
+    def test_an_unknown_reading_raises_as_to_number_does(self, text):
+        numeral = translit.parse(text)
+        for read in (translit.to_number, Digits.read):
+            with pytest.raises(ValueError, match="^unknown mode 'Floating'$"):
+                read(numeral, "Floating")
+
+    @pytest.mark.parametrize("text", ["0", "0;0", "0;0,0"])
+    def test_an_all_zero_numeral_has_no_floating_reading(self, text):
+        numeral = translit.parse(text)
+        for read in (translit.to_number, Digits.read):
+            with pytest.raises(ValueError, match="^an all-zero numeral has no floating value$"):
+                read(numeral, "floating")
+        assert Digits.read(numeral, "absolute") == Digits(0, 0)
+
 
 def reference_verify_table(rows, mode):
     """The integer loop that verify_table must agree with: every cell
@@ -558,6 +573,10 @@ class TestDoublingModeMatchesTheIntegerLoop:
         assert report.ok and report.counts[PAIR_OK] == 1000
         assert len(products) == 1
         assert sorted(converted) == sorted(translit.parse(cell).digits for cell in rows[0][1:])
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte "
+CR_FOUND = "carriage return found; lines must end in LF only"
 
 
 class TestTsv:
@@ -691,6 +710,31 @@ class TestTsv:
             column = len(b"2\t" + value)  # the column of special's first byte
             with pytest.raises(ValueError, match=re.escape(message.format(column))):
                 next(rows)
+
+    @pytest.mark.parametrize("size", [None, 1, 2, 7])
+    @pytest.mark.parametrize(
+        "rest, message",
+        [
+            # within one line, bytes that are not UTF-8 are named before a CR
+            (b"2\t20\r\xff\t0;3\n", NOT_UTF8 + "0xff in column 6: invalid start byte"),
+            # across lines, the first faulty line is named, whatever its fault
+            (b"2\t20\t0;3\r\n3\t40\t0;1,30\n4\t\xff\t0;1\n", CR_FOUND),
+            (b"2\t2\xff\t0;3\n3\t40\t0;1,30\r\n", NOT_UTF8 + "0xff in column 4: invalid start byte"),
+            # an unfinished last line is named for a CR or bad bytes before its missing LF
+            (b"2\t20\r\t0;3", CR_FOUND),
+            (b"2\t2\xff\t0;3", NOT_UTF8 + "0xff in column 4: invalid start byte"),
+            (b"2\t20\t0;3\xc3", NOT_UTF8 + "0xc3 in column 9: invalid continuation byte"),
+            (b"2\t20", "the file does not end in LF"),
+            # a line's fields are checked before the next line is decoded
+            (b"2\t20\n3\t\xff\t0;1\n", "expected 3 tab-separated fields, found 2"),
+        ],
+    )
+    def test_fault_precedence(self, rest, message, size):
+        data = b"1\t10\t0;6\n" + rest
+        rows = parse_tsv(tsv_file(data) if size is None else Trickle(data, size))
+        assert next(rows) == (1, "10", "0;6")
+        with pytest.raises(ValueError, match=f"^{re.escape('line 2: ' + message)}$"):
+            next(rows)
 
     def test_bytes_that_are_not_utf8_name_their_line_and_column(self):
         text = "".join(f"{i}\t10\t0;6\n" for i in range(1, 10001)).encode()
