@@ -55,6 +55,12 @@ def _remove_factor(n: int, p: int) -> tuple[int, int]:
     return n, k
 
 
+def _require_int(name: str, value: object) -> None:
+    """Raise TypeError unless value is exactly an int, as SexNumber checks: no bool, no float."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be int, got {type(value).__name__}")
+
+
 def _literal(field: object) -> str:
     """repr of a field, an int longer than _REPR_BITS bits as a 0x literal, so
     that no setting of the int/str limit changes the text or makes it raise."""

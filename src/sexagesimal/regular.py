@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .core import BASE, FloatingSex, SexNumber, _remove_factor
+from .core import BASE, FloatingSex, SexNumber, _remove_factor, _require_int
 
 
 class IrregularError(ArithmeticError):
@@ -71,6 +71,7 @@ class Factorization235(NamedTuple):
 
 def factor235(n: int) -> Factorization235:
     """Exact exponents of 2, 3 and 5 in n, plus the coprime residue."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     n, two = _remove_factor(n, 2)
@@ -108,8 +109,8 @@ def reciprocal(x: FloatingSex | int) -> FloatingSex:
 
     Raises IrregularError when no finite reciprocal exists.
     """
-    if isinstance(x, int):
-        x = FloatingSex(x)
+    if not isinstance(x, FloatingSex):
+        x = FloatingSex(x)  # an int alone: a float or a bool raises TypeError
     return FloatingSex(_reciprocal_of(x.mantissa, IrregularError)[1])
 
 
@@ -169,7 +170,14 @@ def regular_numbers(limit: int) -> Iterator[int]:
     A heap holds one number for each odd regular p, the next of its run
     p * 2**a <= limit: the least is yielded and replaced by its double
     while that is within the limit, else popped.  1 leads and is skipped.
+    The type of limit is checked at the call.
     """
+    _require_int("limit", limit)
+    return _ascending_regulars(limit)
+
+
+def _ascending_regulars(limit: int) -> Iterator[int]:
+    """The numbers of regular_numbers(limit), from its heap."""
     from heapq import heapify, heappop, heapreplace  # only table standard needs them
 
     heap = list(_odd_regulars(limit))

@@ -27,7 +27,8 @@ The table path streams, so memory does not grow with the row count:
 ``verify_table`` builds no value object.  A row is a pair when the
 integers its two cells' digits spell multiply to a power of 60, which
 trailing zero digits do not change; pairs mode computes this for every
-row.  Doubling mode reads cells as ``translit.Digits``, base-60 digits
+row.  Doubling mode reads cells with ``translit._Digits.read``, the
+reading rule that ``to_number`` goes through too, into base-60 digits
 packed one per byte into an int, which double and halve themselves,
 and computes a row's pair only when it does not follow from the row
 before: if row i-1 is a reciprocal pair and row i doubles its value
@@ -36,7 +37,7 @@ clean table converts row 1 alone, and no chain check converts at all.
 
 There is one doubling chain, ``_doubling_rows``, which steps whatever
 doubles and halves: ``generate_doubling`` walks it on value objects,
-and ``doubling_tsv`` on the ``Digits`` of row 1, so no value is built
+and ``doubling_tsv`` on the ``_Digits`` of row 1, so no value is built
 and no base-60 conversion is made after row 1.  There is one line
 writer, ``table_tsv``, which spells each row from its own cells with
 ``translit.format``.  The tests compare the two walks' lines, and
@@ -53,10 +54,10 @@ from collections import Counter
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from . import translit
-from .core import BASE, FloatingSex, SexNumber
+from .core import BASE, FloatingSex, SexNumber, _require_int
 from .regular import _is_power_of_60, _odd_regulars, _reciprocal_power
 from .regular import invert, is_reciprocal_pair, regular_numbers
-from .translit import Digits
+from .translit import _Digits
 
 PAIR_OK = "PAIR_OK"
 PAIR_BAD = "PAIR_BAD"
@@ -78,12 +79,11 @@ MODES = {"pairs": RELATIONS[:1], "doubling": RELATIONS}
 
 
 class TableRow(NamedTuple):
-    """One table line: a floating value and its anchored or floating reciprocal,
-    as value objects or, in a doubling chain, as the ``Digits`` that spell them."""
+    """One table line: a floating value and its anchored or floating reciprocal."""
 
     index: int
-    value: FloatingSex | Digits
-    reciprocal: SexNumber | FloatingSex | Digits
+    value: FloatingSex
+    reciprocal: SexNumber | FloatingSex
 
 
 def generate_doubling(
@@ -99,15 +99,16 @@ def generate_doubling(
     are checked at the call (an irregular seed raises IrregularError);
     the rows then come one at a time, and only the current one is kept.
     """
-    if isinstance(seed, int):
-        seed = FloatingSex(seed)
+    if not isinstance(seed, FloatingSex):
+        seed = FloatingSex(seed)  # an int alone: a float or a bool raises TypeError
+    _require_int("count", count)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     return _doubling_rows(seed, invert(seed.anchor(anchor_exponent)), count)
 
 
 def _doubling_rows(
-    value: FloatingSex | Digits, rec: SexNumber | Digits, count: int
+    value: FloatingSex | _Digits, rec: SexNumber | _Digits, count: int
 ) -> Iterator[TableRow]:
     yield TableRow(1, value, rec)
     for index in range(2, count + 1):
@@ -128,6 +129,7 @@ def generate_standard(limit: int) -> tuple[TableRow, ...]:
 
 def _standard_rows(limit: int) -> Iterator[TableRow]:
     """The rows of generate_standard(limit), one at a time."""
+    _require_int("limit", limit)
     if limit < 2:
         raise ValueError(f"limit must be at least 2, got {limit}")
     odd_exponents = _odd_regulars(limit)
@@ -194,12 +196,12 @@ def verify_table(
         return holds
 
     def parse_cell(index, field, text, reading):
-        """(numeral, its Digits in doubling mode or the numeral again), or (None, None)."""
+        """(numeral, its _Digits in doubling mode or the numeral again), or (None, None)."""
         try:
             numeral = translit.parse(text)
             if reading == "floating" and not any(numeral.digits):
                 translit.to_number(numeral, reading)  # all zero: raises before building a value
-            return numeral, Digits.read(numeral, reading) if doubling else numeral
+            return numeral, _Digits.read(numeral, reading) if doubling else numeral
         except ValueError as exc:  # covers ParseError and the floating-zero case
             counts[PARSE_ERROR] += 1
             row_findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
@@ -242,13 +244,15 @@ def doubling_tsv(
 ) -> Iterator[str]:
     """The lines of ``table_tsv(generate_doubling(seed, count, anchor_exponent))``.
 
-    The chain is walked on the ``Digits`` of row 1, so every row is
-    spelled from packed digits and no row after the first builds a value
-    or converts base 60.  The seed and the count are checked at the
-    call, as generate_doubling checks them.
+    The chain is walked on the private ``_Digits`` of row 1, carried in
+    the same ``TableRow`` type, so every row is spelled from packed
+    digits and no row after the first builds a value or converts base
+    60.  The seed and the count are checked at the call, as
+    generate_doubling checks them.
     """
     first = next(generate_doubling(seed, count, anchor_exponent))
-    return table_tsv(_doubling_rows(Digits.of(first.value), Digits.of(first.reciprocal), count))
+    rows = _doubling_rows(_Digits.of(first.value), _Digits.of(first.reciprocal), count)
+    return table_tsv(rows)
 
 
 def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:

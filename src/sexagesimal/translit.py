@@ -53,19 +53,21 @@ blocks of 32 digits two per step from a table of the 3,600 spellings
 one packed integer.  Either way the Python-level work per digit no
 longer grows with the length, only a few big-integer steps per level.
 
-Digits that are already base 60 need no conversion at all.  ``Digits``
-holds them packed one per byte into one int and steps them with a few
-whole-int operations: ``double`` shifts left one bit, finds the bytes
-that reached 60 by adding 0x44 to each and reading bit 7, and there
-subtracts 60 and carries 1 up; ``halve`` moves ``d >> 1`` one byte up
-and leaves ``30 * (d & 1)`` in place.  ``format`` spells them in three
+Digits that are already base 60 need no conversion at all.  The
+private ``_Digits`` holds them packed one per byte into one int, read
+from a parsed numeral by ``_Digits.read``, the one reading rule, whose
+value is ``to_number``.  They step with a few whole-int operations:
+``double`` shifts left one bit, finds the bytes that reached 60 by
+adding 0x44 to each and reading bit 7, and there subtracts 60 and
+carries 1 up; ``halve`` moves ``d >> 1`` one byte up and leaves
+``30 * (d & 1)`` in place.  ``format`` spells them in three
 whole-buffer calls: ``bytes.translate`` turns each digit d into the
 packed-decimal byte ``(d // 10) << 4 | d % 10``, or ``0xA0 | d`` below
 10, ``binascii.hexlify`` writes every byte as two characters with a
 comma between, and deleting every "a" leaves a digit below 10 with one.
 
 Place value is laid out by one rule, after the digits are spelled, for
-a ``SexNumber`` and anchored ``Digits`` alike: an integer gets trailing
+a ``SexNumber`` and anchored ``_Digits`` alike: an integer gets trailing
 ",0"s, a semicolon follows the whole part's digits, and a pure fraction
 gets a "0;" head and the zeros between the point and its first digit.
 """
@@ -167,43 +169,45 @@ class Transliteration(_Value):
         return self
 
 
-class Digits(NamedTuple):
+class _Digits(NamedTuple):
     """Base-60 digits packed one per byte into one int, most significant first.
 
     The first and the last digit are not zero.  With ``exponent`` None
     the digits are a floating digit string; with an int they are the
     value m * 60**exponent, m the integer they spell, as a SexNumber's
-    (mantissa, exponent).  Zero is ``Digits(0, 0)``.  Both readings are
-    canonical, so two ``Digits`` are equal exactly when their numbers are.
+    (mantissa, exponent).  Zero is ``_Digits(0, 0)``.  Both readings are
+    canonical, so two ``_Digits`` are equal exactly when their numbers are.
     """
 
     packed: int
     exponent: int | None = None
 
     @classmethod
-    def of(cls, value: SexNumber | FloatingSex) -> Digits:
+    def of(cls, value: SexNumber | FloatingSex) -> _Digits:
         """A nonzero value's digits, floating for a FloatingSex, anchored for a SexNumber."""
         packed = int.from_bytes(_run(_text_of(value.mantissa))[0], "big")
         return cls(packed, value.exponent if isinstance(value, SexNumber) else None)
 
     @classmethod
-    def read(cls, numeral: Transliteration, reading: str) -> Digits:
-        """A parsed numeral's digits, read "floating" or "absolute" as ``to_number`` reads them."""
+    def read(cls, numeral: Transliteration, reading: str) -> _Digits:
+        """A parsed numeral's digits, read "floating" (no place value, and never all zero)
+        or "absolute" (the semicolon fixes the units place; with none, an integer)."""
         digits = numeral.digits
         block = bytearray(digits).rstrip(b"\0")  # bytearray: twice as fast as bytes from a tuple
         if not block:
-            if reading != "absolute":
-                to_number(numeral, reading)  # raises: no floating zero, or an unknown reading
-            return cls(0, 0)
+            if reading == "absolute":
+                return cls(0, 0)
+            if reading == "floating":
+                raise ValueError("an all-zero numeral has no floating value")
         packed = int.from_bytes(block, "big")
         if reading == "floating":
             return cls(packed)
-        if reading != "absolute":
-            to_number(numeral, reading)  # raises: an unknown reading
+        if reading != "absolute":  # an all-zero numeral too
+            raise ValueError(f"unknown mode {reading!r}")
         point = len(digits) if numeral.semicolon_index is None else numeral.semicolon_index
         return cls(packed, point - len(block))
 
-    def double(self) -> Digits:
+    def double(self) -> _Digits:
         """Twice the value: each digit d becomes 2d, less 60 and a carry of 1 up where 2d >= 60."""
         packed, exponent = self
         if not packed:
@@ -213,19 +217,19 @@ class Digits(NamedTuple):
         carries = ((doubled + 0x44 * ones) & (ones << 7)) >> 7
         doubled += (carries << 8) - 60 * carries
         if doubled & 0xFF:
-            return Digits(doubled, exponent)
+            return _Digits(doubled, exponent)
         # A last digit of 30 leaves 0 in its place; the carried 1 above it is not 0.
-        return Digits(doubled >> 8, None if exponent is None else exponent + 1)
+        return _Digits(doubled >> 8, None if exponent is None else exponent + 1)
 
-    def halve(self) -> Digits:
+    def halve(self) -> _Digits:
         """Half the value: each digit d leaves d >> 1 one place up and 30 * (d & 1) in place."""
         packed, exponent = self  # a zero halves to itself below, with no case of its own
         odd = packed & _ones((packed.bit_length() + 7) >> 3)
         halved = ((packed - odd) << 7) + 30 * odd  # (packed - odd) >> 1, one byte up
         if halved & 0xFF:
-            return Digits(halved, None if exponent is None else exponent - 1)
+            return _Digits(halved, None if exponent is None else exponent - 1)
         # An even last digit leaves 0 in its place; the half of it above is not 0.
-        return Digits(halved >> 8, exponent)
+        return _Digits(halved >> 8, exponent)
 
 
 _set_digits = Transliteration.digits.__set__
@@ -365,22 +369,14 @@ def to_number(t: Transliteration, mode: Literal["floating"]) -> FloatingSex: ...
 
 
 def to_number(t, mode):
-    """Evaluate a tokenized numeral.
+    """Evaluate a tokenized numeral: the value of ``_Digits.read(t, mode)``.
 
-    absolute: the semicolon fixes the units place (a missing semicolon
-    reads as an integer).  floating: place value is discarded and the
-    digit string stands for its whole equivalence class; an all-zero
-    string has no floating value and raises ValueError.
+    A floating value stands for its digit string's whole equivalence
+    class; an absolute one has the place value the semicolon gives.
     """
-    value = _value_of(t.digits)
-    if mode == "floating":
-        if value == 0:
-            raise ValueError("an all-zero numeral has no floating value")
-        return FloatingSex(value)
-    if mode != "absolute":
-        raise ValueError(f"unknown mode {mode!r}")
-    exponent = 0 if t.semicolon_index is None else t.semicolon_index - len(t.digits)
-    return SexNumber(value, exponent)
+    packed, exponent = _Digits.read(t, mode)
+    value = _value_of(packed.to_bytes((packed.bit_length() + 7) >> 3, "big"))
+    return FloatingSex(value) if exponent is None else SexNumber(value, exponent)
 
 
 def _power(j: int) -> int:
@@ -390,7 +386,7 @@ def _power(j: int) -> int:
     return _POWERS[j]
 
 
-def _value_of(digits: tuple[int, ...]) -> int:
+def _value_of(digits: tuple[int, ...] | bytes) -> int:
     """The integer that base-60 digits spell, most significant first."""
     if len(digits) <= _SHORT:
         value = 0
@@ -475,7 +471,7 @@ def _anchored(text: str, places: int, exponent: int) -> str:
     return ",".join(head) + ";" + fraction
 
 
-def format(value: SexNumber | FloatingSex | Digits) -> str:
+def format(value: SexNumber | FloatingSex) -> str:
     """Render a value; ``parse``/``to_number`` of the result round-trips.
 
     A SexNumber is written anchored: one semicolon marks the units
@@ -483,13 +479,10 @@ def format(value: SexNumber | FloatingSex | Digits) -> str:
     digits are written out ("0;0,45").  A FloatingSex is written as the
     bare canonical digit string, no semicolon, no leading zeros; the
     floating text of a SexNumber x is ``format(x.to_floating())``.
-    ``Digits`` are written as the value they denote, anchored or
-    floating, with no base-60 conversion.  Anchored values of both kinds
-    are spelled as bare digits first and then laid out by ``_anchored``.
     """
     if isinstance(value, FloatingSex):
         return _text_of(value.mantissa)
-    if isinstance(value, Digits):
+    if isinstance(value, _Digits):  # a doubling chain's row, spelled with no base-60 conversion
         packed, exponent = value
         if not packed:
             if exponent is None:

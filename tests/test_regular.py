@@ -266,6 +266,26 @@ class TestRegularNumbers:
             assert list(regular_numbers(limit)) == [n for n in numbers if n <= limit]
 
 
+class TestExactIntArguments:
+    """Floats and bools are refused at the call, naming their type, as SexNumber does."""
+
+    @pytest.mark.parametrize(
+        ("function", "argument", "message"),
+        [
+            (factor235, True, "^n must be int, got bool$"),
+            (factor235, 12.0, "^n must be int, got float$"),
+            (is_regular, True, "must be int, got bool$"),
+            (is_regular, 7.0, "must be int, got float$"),  # an irregular value
+            (is_regular, 8.0, "must be int, got float$"),  # a regular one
+            (reciprocal, 8.0, "must be int, got float$"),
+            (regular_numbers, 10.5, "^limit must be int, got float$"),  # before any number
+        ],
+    )
+    def test_refused_at_the_call(self, function, argument, message):
+        with pytest.raises(TypeError, match=message):
+            function(argument)
+
+
 class TestPairHelpers:
     def test_power_of_60(self):
         # the pair relation holds exactly when the mantissa product is 60**k

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from sexagesimal import tables, translit
 from sexagesimal.core import FloatingSex, SexNumber
 from sexagesimal.regular import IrregularError, is_reciprocal_pair, reciprocal
-from sexagesimal.translit import Digits
 from sexagesimal.tables import (
     DOUBLING_BAD,
     DOUBLING_OK,
@@ -137,6 +136,18 @@ class TestGenerateDoubling:
         with pytest.raises(ValueError):
             generate_doubling(10, 0)
 
+    @pytest.mark.parametrize(
+        ("seed", "count", "message"),
+        [
+            (10.0, 3, "must be int, got float$"),
+            (10, 3.5, "^count must be int, got float$"),  # at the call, not at row 2
+            (10, True, "^count must be int, got bool$"),
+        ],
+    )
+    def test_float_or_bool_rejected_at_the_call(self, seed, count, message):
+        with pytest.raises(TypeError, match=message):
+            generate_doubling(seed, count)
+
     def test_generated_table_verifies_clean(self):
         table = generate_doubling(25, 40, anchor_exponent=-2)
         rows = parse_tsv(tsv_file("".join(table_tsv(table))))
@@ -202,6 +213,10 @@ class TestGenerateStandard:
     def test_bad_limit(self):
         with pytest.raises(ValueError):
             generate_standard(1)
+
+    def test_float_limit_rejected(self):
+        with pytest.raises(TypeError, match="^limit must be int, got float$"):
+            generate_standard(10.5)
 
     @pytest.mark.parametrize("limit", [2, 59, 60, 61, 3600, 10**6, 10**12])
     def test_rows_match_factoring_each_number(self, limit):
@@ -343,7 +358,8 @@ def numerals_from(digits, semicolon_index):
 
 
 class TestPackedChainSteps:
-    """Digits.double and Digits.halve, floating and anchored, against the value objects' own."""
+    """translit._Digits.double and translit._Digits.halve, floating and anchored,
+    against the value objects' own."""
 
     @pytest.mark.parametrize(
         "text",
@@ -391,22 +407,23 @@ class TestPackedChainSteps:
     @staticmethod
     def check(numeral):
         absolute = translit.to_number(numeral, "absolute")
-        packed = Digits.read(numeral, "absolute")
+        packed = translit._Digits.read(numeral, "absolute")
         assert packed == (packed_oracle(absolute.mantissa), absolute.exponent)
         for step in ("double", "halve"):
             stepped = getattr(absolute, step)()
             assert getattr(packed, step)() == (packed_oracle(stepped.mantissa), stepped.exponent)
         if absolute:
             floating = translit.to_number(numeral, "floating")
-            packed = Digits.read(numeral, "floating")
-            assert packed == Digits(packed_oracle(floating.mantissa))
+            packed = translit._Digits.read(numeral, "floating")
+            assert packed == translit._Digits(packed_oracle(floating.mantissa))
             for step in ("double", "halve"):
                 stepped = getattr(floating, step)()
-                assert getattr(packed, step)() == Digits(packed_oracle(stepped.mantissa))
+                assert getattr(packed, step)() == translit._Digits(packed_oracle(stepped.mantissa))
 
 
 class TestDigitsOfAValue:
-    """Digits.of packs a value's digits as Digits.read packs those of its parsed text."""
+    """translit._Digits.of packs a value's digits as translit._Digits.read packs
+    those of its parsed text."""
 
     LONG_SEED = 3**200 * 2**7  # 157 characters, so its text is read by translit._run
 
@@ -415,8 +432,8 @@ class TestDigitsOfAValue:
     def test_doubling_rows(self, seed, anchor):
         for row in generate_doubling(seed, 40, anchor):
             for value, reading in ((row.value, "floating"), (row.reciprocal, "absolute")):
-                expected = Digits.read(translit.parse(translit.format(value)), reading)
-                assert Digits.of(value) == expected
+                expected = translit._Digits.read(translit.parse(translit.format(value)), reading)
+                assert translit._Digits.of(value) == expected
                 assert expected.packed == packed_oracle(value.mantissa)
 
     def test_the_long_seed_is_long(self):
@@ -425,24 +442,26 @@ class TestDigitsOfAValue:
     @given(st.integers(1, 60**400), st.integers(-5, 5))
     def test_any_value(self, mantissa, exponent):
         value = SexNumber(mantissa, exponent)
-        assert Digits.of(value) == Digits.read(translit.parse(translit.format(value)), "absolute")
+        assert translit._Digits.of(value) == translit._Digits.read(
+            translit.parse(translit.format(value)), "absolute"
+        )
         floating = value.to_floating()
-        assert Digits.of(floating) == Digits(packed_oracle(floating.mantissa))
+        assert translit._Digits.of(floating) == translit._Digits(packed_oracle(floating.mantissa))
 
     @pytest.mark.parametrize("text", ["1,30", ";0,45", "0", "0;0"])
     def test_an_unknown_reading_raises_as_to_number_does(self, text):
         numeral = translit.parse(text)
-        for read in (translit.to_number, Digits.read):
+        for read in (translit.to_number, translit._Digits.read):
             with pytest.raises(ValueError, match="^unknown mode 'Floating'$"):
                 read(numeral, "Floating")
 
     @pytest.mark.parametrize("text", ["0", "0;0", "0;0,0"])
     def test_an_all_zero_numeral_has_no_floating_reading(self, text):
         numeral = translit.parse(text)
-        for read in (translit.to_number, Digits.read):
+        for read in (translit.to_number, translit._Digits.read):
             with pytest.raises(ValueError, match="^an all-zero numeral has no floating value$"):
                 read(numeral, "floating")
-        assert Digits.read(numeral, "absolute") == Digits(0, 0)
+        assert translit._Digits.read(numeral, "absolute") == translit._Digits(0, 0)
 
 
 def reference_verify_table(rows, mode):
@@ -761,10 +780,13 @@ class TestWriterAgreesWithFormatOfEachValue:
 
     @staticmethod
     def written(lines, monkeypatch):
-        """The text of a writer's lines, and how many rows it stepped with Digits.double."""
+        """The text of a writer's lines, and how many rows it stepped with
+        translit._Digits.double."""
         steps = []
-        double = Digits.double
-        monkeypatch.setattr(Digits, "double", lambda value: steps.append(1) or double(value))
+        double = translit._Digits.double
+        monkeypatch.setattr(
+            translit._Digits, "double", lambda value: steps.append(1) or double(value)
+        )
         return "".join(lines), len(steps)
 
     @pytest.mark.parametrize("anchor", range(-3, 4))

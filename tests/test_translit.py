@@ -12,7 +12,6 @@ from sexagesimal import translit
 from sexagesimal.core import ZERO, FloatingSex, SexNumber
 from sexagesimal.translit import (
     DigitRangeError,
-    Digits,
     ParseError,
     Transliteration,
     parse,
@@ -212,6 +211,37 @@ class TestToNumberAgreesWithTheChecks:
             assert same_fields(to_number(t, "floating"), FloatingSex(value))
 
 
+class TestOneReadingRule:
+    """to_number and the packed reader read every short numeral alike, or fail alike."""
+
+    READINGS = ("floating", "absolute", "Floating")
+
+    @staticmethod
+    def reading_of(read, numeral, reading):
+        try:
+            return "text", translit.format(read(numeral, reading))
+        except ValueError as exc:
+            return "error", str(exc)
+
+    def test_every_numeral_of_up_to_six_characters(self):
+        texts = []
+        for length in range(1, 7):
+            for chars in itertools.product("0159,; ", repeat=length):
+                text = "".join(chars)
+                try:
+                    numeral = parse(text)
+                except ValueError:
+                    continue
+                for reading in self.READINGS:
+                    expected = self.reading_of(to_number, numeral, reading)
+                    assert self.reading_of(translit._Digits.read, numeral, reading) == expected, (
+                        text, reading,
+                    )
+                texts.append(text)
+        assert sum(" " not in text for text in texts) == 1692
+        assert len(texts) > 1692
+
+
 class TestFormat:
     def test_table_reciprocal_with_interior_zero(self):
         assert translit.format(SexNumber(20250, -4)) == "0;0,5,37,30"
@@ -247,16 +277,16 @@ def packed_cases():
 
 
 class TestFormatOfPackedDigits:
-    """format of Digits writes exactly what format of the value they denote writes.
+    """format of translit._Digits writes exactly what format of the value they denote writes.
 
     Both lay out their places through one helper, so each text is also
     checked against the digit-by-digit oracles, which share no code with it.
     """
 
     def test_zero(self):
-        assert translit.format(Digits(0, 0)) == translit.format(ZERO) == "0"
+        assert translit.format(translit._Digits(0, 0)) == translit.format(ZERO) == "0"
         with pytest.raises(ValueError, match="no floating value"):
-            translit.format(Digits(0))
+            translit.format(translit._Digits(0))
 
     @pytest.mark.parametrize(("digits", "exponent"), list(packed_cases()))
     def test_explicit_cases(self, digits, exponent):
@@ -285,13 +315,13 @@ class TestFormatOfPackedDigits:
         self.check(digits, exponent)
 
     def test_a_byte_of_60_or_more_is_never_spelled_as_a_digit(self):
-        assert translit.format(Digits(int.from_bytes(bytes([1, 60, 255]), "big"))) == "1,ff,ff"
+        assert translit.format(translit._Digits(int.from_bytes(bytes([1, 60, 255]), "big"))) == "1,ff,ff"
 
     @staticmethod
     def check(digits, exponent):
         mantissa = value_oracle(digits)
         value = FloatingSex(mantissa) if exponent is None else SexNumber(mantissa, exponent)
-        packed = Digits(int.from_bytes(bytes(digits), "big"), exponent)
+        packed = translit._Digits(int.from_bytes(bytes(digits), "big"), exponent)
         text = translit.format(packed)
         assert text == translit.format(value)
         assert text == (text_oracle(mantissa) if exponent is None else format_oracle(value))
