@@ -190,7 +190,7 @@ def _cmd_table_double(args: argparse.Namespace) -> int:
 
 
 def _cmd_table_standard(args: argparse.Namespace) -> int:
-    return _emit(args.output, tables.table_tsv(tables._standard_rows(args.limit)))
+    return _emit(args.output, tables.standard_tsv(args.limit))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

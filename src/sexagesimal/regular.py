@@ -86,18 +86,13 @@ def is_regular(x: FloatingSex | int) -> bool:
     return factor235(mantissa).is_regular
 
 
-def _reciprocal_power(q: int, two: int, three: int, five: int) -> tuple[int, int]:
-    """(k, 60**k // q) for the least k with q == 2**two * 3**three * 5**five dividing 60**k."""
-    k = max((two + 1) // 2, three, five)  # 60**k carries 2**(2k), 3**k and 5**k
-    return k, BASE**k // q
-
-
 def _reciprocal_of(q: int, error: type[ArithmeticError]) -> tuple[int, int]:
     """(k, 60**k // q) for the least k with q dividing 60**k; else raise error(q, residue)."""
     f = factor235(q)
     if not f.is_regular:
         raise error(q, f.residue)
-    return _reciprocal_power(q, f.two, f.three, f.five)
+    k = max((f.two + 1) // 2, f.three, f.five)  # 60**k carries 2**(2k), 3**k and 5**k
+    return k, BASE**k // q
 
 
 def reciprocal(x: FloatingSex | int) -> FloatingSex:
@@ -151,19 +146,6 @@ def _is_power_of_60(product: int) -> bool:
     return not two & 1 and odd == 15 ** (two >> 1)
 
 
-def _odd_regulars(limit: int) -> dict[int, tuple[int, int]]:
-    """{3**b * 5**c: (b, c)} for every such product up to limit."""
-    found = {}
-    p5, five = 1, 0
-    while p5 <= limit:
-        p35, three = p5, 0
-        while p35 <= limit:
-            found[p35] = (three, five)
-            p35, three = p35 * 3, three + 1
-        p5, five = p5 * 5, five + 1
-    return found
-
-
 def regular_numbers(limit: int) -> Iterator[int]:
     """The regular integers in [2, limit], ascending, one at a time.
 
@@ -180,7 +162,14 @@ def _ascending_regulars(limit: int) -> Iterator[int]:
     """The numbers of regular_numbers(limit), from its heap."""
     from heapq import heapify, heappop, heapreplace  # only table standard needs them
 
-    heap = list(_odd_regulars(limit))
+    heap = []  # every odd regular number 3**b * 5**c up to limit, 1 included
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            heap.append(p35)
+            p35 *= 3
+        p5 *= 5
     heapify(heap)
     while heap:
         n = heap[0]

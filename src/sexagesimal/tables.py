@@ -3,19 +3,20 @@
 A doubling table starts from a regular seed and repeatedly doubles it
 while halving its reciprocal; both walks are exact, so every row stays a
 reciprocal pair.  This is how scribes extended their reciprocal lists
-cheaply.  A standard table is built from each number's exponents, never
-by factoring.  The verifier goes the other way: given a transcribed
-table, it checks the relations structurally, counts the ones that hold
-and reports findings for the ones that do not, without ever correcting
-an entry.
+cheaply, and a standard table is built the same way, never by
+factoring: a regular n = p * 2**a, p odd, is row a + 1 of the doubling
+chain from p and its reciprocal.  The verifier goes the other way:
+given a transcribed table, it checks the relations structurally,
+counts the ones that hold and reports findings for the ones that do
+not, without ever correcting an entry.
 
 The table path streams, so memory does not grow with the row count:
 
 - ``generate_doubling`` returns an iterator of numbered ``TableRow``s
   that keeps only the current row; ``generate_standard`` returns a
-  tuple of them, built from the same row generator the CLI streams.
-- ``table_tsv`` yields one file line per row; ``doubling_tsv`` is
-  ``table_tsv`` of a doubling chain.
+  tuple of them, each checked to be a reciprocal pair.
+- ``table_tsv`` yields one file line per row; ``doubling_tsv`` and
+  ``standard_tsv`` are ``table_tsv`` of the walks below.
 - ``parse_tsv`` yields ``(index, value, reciprocal)`` text rows from a
   binary file read 64 KiB at a time, and stops at a fault's line, naming it.
 - ``verify_table`` returns a ``VerificationReport``: the bad findings,
@@ -35,11 +36,13 @@ before: if row i-1 is a reciprocal pair and row i doubles its value
 and halves its reciprocal, row i is one too, as (2x)(y/2) = xy.  A
 clean table converts row 1 alone, and no chain check converts at all.
 
-There is one doubling chain, ``_doubling_rows``, which steps whatever
-doubles and halves: ``generate_doubling`` walks it on value objects,
-and ``doubling_tsv`` on the ``_Digits`` of row 1, so no value is built
-and no base-60 conversion is made after row 1.  There is one line
-writer, ``table_tsv``, which spells each row from its own cells with
+Two walks step whatever doubles and halves: ``_doubling_rows``, one
+chain, and ``_standard_rows``, the chains of every odd regular number
+merged in ascending order, keeping the newest row of each.  The
+``generate_`` functions walk them on value objects, and the ``_tsv``
+ones on the ``_Digits`` of each chain's first row, so no value is built
+and no base-60 conversion is made after it.  There is one line writer,
+``table_tsv``, which spells each row from its own cells with
 ``translit.format``.  The tests compare the two walks' lines, and
 ``format`` of value objects shares no code with the packed steps.
 
@@ -51,12 +54,11 @@ ending in LF (the last one too), no header.
 from __future__ import annotations
 
 from collections import Counter
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from . import translit
-from .core import BASE, FloatingSex, SexNumber, _require_int
-from .regular import _is_power_of_60, _odd_regulars, _reciprocal_power
-from .regular import invert, is_reciprocal_pair, regular_numbers
+from .core import FloatingSex, SexNumber, _require_int
+from .regular import _is_power_of_60, invert, is_reciprocal_pair, reciprocal, regular_numbers
 from .translit import _Digits
 
 PAIR_OK = "PAIR_OK"
@@ -122,26 +124,31 @@ def generate_standard(limit: int) -> tuple[TableRow, ...]:
 
     Both columns are floating.  Irregular integers are left out
     entirely, as on the historical tablets, which list no entry at all
-    for them.
+    for them.  The merged chains are walked on ``FloatingSex``, and
+    every row is checked to be a reciprocal pair.
     """
-    return tuple(_standard_rows(limit))
+    rows = tuple(_standard_rows(limit, FloatingSex))
+    for _, value, rec in rows:
+        if not is_reciprocal_pair(value, rec):
+            raise ValueError(f"{value.mantissa} and {rec.mantissa} are not a reciprocal pair")
+    return rows
 
 
-def _standard_rows(limit: int) -> Iterator[TableRow]:
-    """The rows of generate_standard(limit), one at a time."""
+def _standard_rows(limit: int, carry: Callable[[int], Any]) -> Iterator[TableRow]:
+    """The rows up to limit, one at a time: an odd n starts a chain with carry(n) and
+    carry of its reciprocal's mantissa, an even n steps the row of n // 2."""
     _require_int("limit", limit)
     if limit < 2:
         raise ValueError(f"limit must be at least 2, got {limit}")
-    odd_exponents = _odd_regulars(limit)
+    newest = {1: (carry(1), carry(1))}  # n -> its row's values while 2n <= limit; 1 is no row
     for index, n in enumerate(regular_numbers(limit), start=1):
-        two = (n & -n).bit_length() - 1  # the lowest set bit
-        three, five = odd_exponents[n >> two]
-        k = min(two >> 1, three, five)  # the factors of 60 in n
-        m = n // BASE**k if k else n
-        r = _reciprocal_power(m, two - 2 * k, three - k, five - k)[1]
-        value, rec = FloatingSex(m), FloatingSex(r)
-        if not is_reciprocal_pair(value, rec):
-            raise ValueError(f"{value.mantissa} and {rec.mantissa} are not a reciprocal pair")
+        if n & 1:
+            value, rec = carry(n), carry(reciprocal(n).mantissa)
+        else:
+            value, rec = newest.pop(n >> 1)
+            value, rec = value.double(), rec.halve()
+        if n << 1 <= limit:
+            newest[n] = value, rec
         yield TableRow(index, value, rec)
 
 
@@ -253,6 +260,16 @@ def doubling_tsv(
     first = next(generate_doubling(seed, count, anchor_exponent))
     rows = _doubling_rows(_Digits.of(first.value), _Digits.of(first.reciprocal), count)
     return table_tsv(rows)
+
+
+def standard_tsv(limit: int) -> Iterator[str]:
+    """The lines of ``table_tsv(generate_standard(limit))``, walked on the private ``_Digits``.
+
+    No row is checked, as none is in doubling_tsv: each is stepped from
+    a pair that ``reciprocal`` computes exactly, and (2x)(y/2) = xy.
+    The limit is checked when the first line is asked for.
+    """
+    return table_tsv(_standard_rows(limit, lambda m: _Digits.of(FloatingSex(m))))
 
 
 def table_tsv(rows: Iterable[TableRow]) -> Iterator[str]:

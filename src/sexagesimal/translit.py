@@ -45,13 +45,14 @@ Timed through ``parse`` on random numerals (best of 15, twice, Python
 characters (3.0-3.1 us), and the run was faster from 113 characters
 on, by more with every token: 24 against 54-56 us at 2,407 characters.
 
-Long numbers convert by divide and conquer over the cached powers
-60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010, §1.7):
-``format`` splits a mantissa into halves, quarters, ... and writes
-blocks of 32 digits two per step from a table of the 3,600 spellings
-"h,l"; ``to_number`` combines all digits pairwise, level by level, in
-one packed integer.  Either way the Python-level work per digit no
-longer grows with the length, only a few big-integer steps per level.
+Integers convert each way once, by divide and conquer over the cached
+powers 60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+§1.7): ``_digits_of``, under ``format``, splits a mantissa into halves,
+quarters, ... and writes blocks of 32 digits two per step from a table
+of the 3,600 two-byte digit pairs; ``_value_of``, under ``to_number``,
+combines all digits pairwise, level by level, in one packed integer.
+Either way the Python-level work per digit no longer grows with the
+length, only a few big-integer steps per level.
 
 Digits that are already base 60 need no conversion at all.  The
 private ``_Digits`` holds them packed one per byte into one int, read
@@ -65,11 +66,7 @@ whole-buffer calls: ``bytes.translate`` turns each digit d into the
 packed-decimal byte ``(d // 10) << 4 | d % 10``, or ``0xA0 | d`` below
 10, ``binascii.hexlify`` writes every byte as two characters with a
 comma between, and deleting every "a" leaves a digit below 10 with one.
-
-Place value is laid out by one rule, after the digits are spelled, for
-a ``SexNumber`` and anchored ``_Digits`` alike: an integer gets trailing
-",0"s, a semicolon follows the whole part's digits, and a pure fraction
-gets a "0;" head and the zeros between the point and its first digit.
+Place value is laid out after the digits are spelled, by ``_anchored``.
 """
 
 from __future__ import annotations
@@ -82,9 +79,8 @@ from typing import Literal, NamedTuple, overload
 
 from .core import BASE, FloatingSex, SexNumber, _Value
 
-_DIGIT_TEXT = tuple(str(d) for d in range(BASE))
-_DIGIT_VALUE = {text: d for d, text in enumerate(_DIGIT_TEXT)}
-_LEAF = 5  # format writes blocks of 2**_LEAF digits with a short loop
+_DIGIT_VALUE = {str(d): d for d in range(BASE)}
+_LEAF = 5  # _digits_of writes blocks of 2**_LEAF digits with a short loop
 _LEAF_PAIRS = range(1 << _LEAF - 1)  # two digits per step
 _PAIR = BASE * BASE
 _POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squared on demand
@@ -184,8 +180,8 @@ class _Digits(NamedTuple):
 
     @classmethod
     def of(cls, value: SexNumber | FloatingSex) -> _Digits:
-        """A nonzero value's digits, floating for a FloatingSex, anchored for a SexNumber."""
-        packed = int.from_bytes(_run(_text_of(value.mantissa))[0], "big")
+        """A value's digits, floating for a FloatingSex, anchored for a SexNumber; 0 has none."""
+        packed = int.from_bytes(_digits_of(value.mantissa), "big")
         return cls(packed, value.exponent if isinstance(value, SexNumber) else None)
 
     @classmethod
@@ -411,25 +407,26 @@ def _value_of(digits: tuple[int, ...] | bytes) -> int:
 
 
 @cache
-def _pair_text() -> tuple[str, ...]:
-    """The 3,600 spellings "h,l" of h*60 + l, "0,l" padded; built on first use."""
-    return tuple([h + "," + l for h in _DIGIT_TEXT for l in _DIGIT_TEXT])
+def _pair_bytes() -> tuple[bytes, ...]:
+    """The 3,600 digit pairs of h*60 + l as two bytes (h, l), 0 padded; built on first use."""
+    return tuple([bytes((h, l)) for h in range(BASE) for l in range(BASE)])
 
 
-def _text_of(mantissa: int) -> str:
-    """The digits of a positive integer, comma-separated, most significant first.
+def _digits_of(mantissa: int) -> bytes:
+    """The base-60 digits of a non-negative integer, one per byte, most significant first.
 
     Blocks of 60**2**j are split off the top while they fit and halved
     level by level into blocks of 2**_LEAF digits.  Those and the head
     left above them are written two digits per step, a remainder by 60**2
-    looked up in the pair table, and joined once; a lone top digit is unpadded.
+    looked up in the pair table, and joined once; the top pair's padding
+    zero is dropped, and zero has no digits.
     """
-    pairs = _pair_text()
+    pairs = _pair_bytes()
     head = mantissa
     top = _LEAF
     while head >= _POWERS[_LEAF + 1] and _power(top + 1) <= head:  # below 60**64, no split
         top += 1
-    out: list[str] = []  # pair spellings, least significant first
+    out: list[bytes] = []  # digit pairs, least significant first
     append = out.append
     for j in range(top, _LEAF, -1):
         if head >= _POWERS[j]:
@@ -441,13 +438,11 @@ def _text_of(mantissa: int) -> str:
                 for _ in _LEAF_PAIRS:
                     block, low = divmod(block, _PAIR)
                     append(pairs[low])
-    while head >= _PAIR:
+    while head:
         head, low = divmod(head, _PAIR)
         append(pairs[low])
-    if head:
-        append(pairs[head] if head >= BASE else _DIGIT_TEXT[head])
     out.reverse()
-    return ",".join(out)
+    return b"".join(out).lstrip(b"\0")
 
 
 def _spell(block: bytes) -> str:
@@ -480,18 +475,13 @@ def format(value: SexNumber | FloatingSex) -> str:
     bare canonical digit string, no semicolon, no leading zeros; the
     floating text of a SexNumber x is ``format(x.to_floating())``.
     """
-    if isinstance(value, FloatingSex):
-        return _text_of(value.mantissa)
-    if isinstance(value, _Digits):  # a doubling chain's row, spelled with no base-60 conversion
-        packed, exponent = value
-        if not packed:
-            if exponent is None:
-                raise ValueError("an all-zero digit string has no floating value")
-            return "0"
-        block = packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
-        text = _spell(block)
-        return text if exponent is None else _anchored(text, len(block), exponent)
-    if value.mantissa == 0:
+    if not isinstance(value, _Digits):  # a table row's _Digits are spelled as they are
+        value = _Digits.of(value)
+    packed, exponent = value
+    if not packed:
+        if exponent is None:
+            raise ValueError("an all-zero digit string has no floating value")
         return "0"
-    text = _text_of(value.mantissa)
-    return _anchored(text, text.count(",") + 1, value.exponent)
+    block = packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
+    text = _spell(block)
+    return text if exponent is None else _anchored(text, len(block), exponent)

@@ -1,6 +1,7 @@
 """Table generation and structural verification."""
 
 import hashlib
+from bisect import bisect_right
 import io
 import itertools
 import random
@@ -30,6 +31,7 @@ from sexagesimal.tables import (
     generate_doubling,
     generate_standard,
     parse_tsv,
+    standard_tsv,
     table_tsv,
     verify_table,
 )
@@ -63,9 +65,8 @@ def smooth_235(limit: int) -> list[int]:
     return out
 
 
-def old_generate_standard(limit):
-    # Every regular number from a triple loop, then each value and its
-    # reciprocal through the checking constructor and the factoring path.
+def old_regular_numbers(limit):
+    # Every regular number in [2, limit] from a triple loop, sorted.
     found = []
     p5 = 1
     while p5 <= limit:
@@ -77,10 +78,26 @@ def old_generate_standard(limit):
                 p *= 2
             p35 *= 3
         p5 *= 5
-    numbers = sorted(n for n in found if n >= 2)
+    return sorted(n for n in found if n >= 2)
+
+
+def old_generate_standard(limit):
+    # Each value and its reciprocal through the checking constructor and the factoring path.
     return [
-        TableRow(i, FloatingSex(n), reciprocal(FloatingSex(n))) for i, n in enumerate(numbers, 1)
+        TableRow(i, FloatingSex(n), reciprocal(FloatingSex(n)))
+        for i, n in enumerate(old_regular_numbers(limit), 1)
     ]
+
+
+def standard_limits():
+    """Every limit up to 2,000, and the neighbours of the powers of 2, 3, 5 and 60 up to 10**12."""
+    limits = set(range(2, 2001))
+    for p in (2, 3, 5, 60):
+        power = p
+        while power <= 10**12:
+            limits.update((power - 1, power, power + 1))
+            power *= p
+    return sorted(limits - {1})
 
 
 def assert_same_rows(rows, expected):
@@ -243,6 +260,42 @@ class TestGenerateStandard:
         assert values == [FloatingSex(n) for n in smooth_235(500)]
         assert len(pairs) == len(smooth_235(500))
         assert [p.index for p in pairs] == list(range(1, len(pairs) + 1))
+
+
+class TestStandardTsv:
+    """The standard writer walks the merged doubling chains on packed digits."""
+
+    def test_lines_match_the_value_rows_at_every_limit(self):
+        # The table at a limit is the oracle's largest table up to that number.
+        numbers = old_regular_numbers(10**12 + 1)
+        rows = old_generate_standard(10**12 + 1)
+        lines = list(table_tsv(rows))
+        for limit in standard_limits():
+            count = bisect_right(numbers, limit)
+            assert list(generate_standard(limit)) == rows[:count], limit
+            assert list(standard_tsv(limit)) == lines[:count], limit
+
+    def test_rows_are_not_doubled_as_values(self, monkeypatch):
+        calls = Counter()
+        for name in ("double", "halve"):
+            method = getattr(FloatingSex, name)
+            counting = lambda self, m=method, n=name: calls.update([n]) or m(self)
+            monkeypatch.setattr(FloatingSex, name, counting)
+        text = "".join(standard_tsv(1000))
+        assert calls == Counter()
+        assert text == "".join(table_tsv(generate_standard(1000)))
+        assert calls["double"] == calls["halve"] > 0  # the counting sees the binary walk
+
+    def test_a_wrong_step_is_caught_by_the_value_rows(self, monkeypatch):
+        # generate_standard checks every row it returns; the packed walk has no check.
+        monkeypatch.setattr(FloatingSex, "halve", lambda self: FloatingSex(self.mantissa * 29))
+        with pytest.raises(ValueError, match="^2 and 29 are not a reciprocal pair$"):
+            generate_standard(100)
+
+    @pytest.mark.parametrize("limit, error", [(1, ValueError), (10.5, TypeError), (True, TypeError)])
+    def test_bad_limits_raise(self, limit, error):
+        with pytest.raises(error):
+            next(standard_tsv(limit))
 
 
 class TestVerifyTable:
@@ -447,6 +500,9 @@ class TestDigitsOfAValue:
         )
         floating = value.to_floating()
         assert translit._Digits.of(floating) == translit._Digits(packed_oracle(floating.mantissa))
+
+    def test_zero_is_the_canonical_packed_zero(self):
+        assert translit._Digits.of(SexNumber(0)) == translit._Digits(0, 0)
 
     @pytest.mark.parametrize("text", ["1,30", ";0,45", "0", "0;0"])
     def test_an_unknown_reading_raises_as_to_number_does(self, text):

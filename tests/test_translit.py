@@ -619,7 +619,7 @@ class TestLongNumbers:
     @pytest.mark.parametrize("k", [*range(1, 131), 1024])  # 32, 64 and 128 edge the blocks
     def test_around_powers_of_60(self, k):
         for m in (60**k - 1, 60**k, 60**k + 1):
-            text = translit._text_of(m)
+            text = translit._spell(translit._digits_of(m))
             assert text == text_oracle(m)
             assert translit._value_of(parse(text).digits) == m
             for value in (FloatingSex(m), SexNumber(m), SexNumber(m, -k)):
@@ -640,7 +640,7 @@ class TestLongNumbers:
     @staticmethod
     def check_random_mantissa(bits, rng):
         m = rng.getrandbits(bits) | 1 << (bits - 1)
-        text = translit._text_of(m)
+        text = translit._spell(translit._digits_of(m))
         assert text == text_oracle(m)
         assert translit._value_of(parse(text).digits) == m
         value = FloatingSex(m)
@@ -657,10 +657,21 @@ class TestLongNumbers:
             assert text == format_oracle(value)
             assert to_number(parse(text), "absolute") == value
 
+    def test_digits_round_trip_at_every_length(self):
+        rng = random.Random(300)
+        assert translit._digits_of(0) == b""
+        for length in range(1, 301):
+            low = 60 ** (length - 1)
+            for m in (low, 60 * low - 1, rng.randrange(low, 60 * low)):
+                digits = translit._digits_of(m)
+                assert list(digits) == digits_oracle(m)
+                assert len(digits) == length
+                assert translit._value_of(digits) == m
+
     def test_every_mantissa_up_to_three_digits(self):
         # Odd and even digit counts, and heads of one and two digits.
         for m in range(1, 60**3 + 2):
-            assert translit._text_of(m) == text_oracle(m)
+            assert translit._spell(translit._digits_of(m)) == text_oracle(m)
 
     def test_leading_zeros_inside_a_block(self):
         # The low block of 60**64 + 5 is all zeros but its last digit.
