@@ -207,7 +207,7 @@ def verify_table(
         try:
             numeral = translit.parse(text)
             if reading == "floating" and not any(numeral.digits):
-                translit.to_number(numeral, reading)  # all zero: raises before building a value
+                _Digits.read(numeral, reading)  # all zero: no floating reading, so this raises
             return numeral, _Digits.read(numeral, reading) if doubling else numeral
         except ValueError as exc:  # covers ParseError and the floating-zero case
             counts[PARSE_ERROR] += 1

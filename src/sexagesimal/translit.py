@@ -14,12 +14,13 @@ caller picks a mode when converting, so nothing is ever guessed.
 
 Parsing splits the text once, at the first semicolon and at the
 commas, and looks the tokens up together in one table of the 60 digit
-spellings, which checks and converts them at once.  A token the table
-lacks, such as one with a blank or a second semicolon, sends the text
-to the scanner, which looks the same tokens up again without their
-blanks.  Only a token that still misses is read further, by one fault
-reader, the only code that finds the column of a fault: errors, their
-messages and their positions come from one place.
+spellings, which checks and converts them at once.  If a token misses,
+such as one with a blank or a second semicolon, the same tokens are
+looked up again without their blanks, after a blank whole part before
+the semicolon (" ;45") is dropped as a headless one.  Only a token that
+still misses is read further, by ``_fault``, the only code that finds
+the column of a fault: errors, their messages and their positions come
+from one place.
 
 A numeral longer than ``_WIDE`` characters, such as a cell of a long
 doubling table (2,555 characters by row 2,000), is first read whole,
@@ -253,7 +254,13 @@ def parse(text: str) -> Transliteration:
             else:
                 digits = itemgetter(*tokens)(_DIGIT_VALUE)
         except KeyError:
-            return _scan(text)  # a malformed token: the scanner finds and reports it
+            # The same tokens again, without their blanks; " ;45" is headless too.
+            start = 0
+            if semicolon and not whole.strip(" \t"):
+                start, tokens, semicolon_index = len(whole) + 1, tokens[semicolon_index:], 0
+            digits = tuple(map(_DIGIT_VALUE.get, map(str.strip, tokens, repeat(" \t"))))
+            if None in digits:
+                raise _fault(text, tokens, digits.index(None), start) from None
     # Every digit is one of the 60 spellings and the semicolon sits
     # between tokens, so only a leading zero needs the checks.
     if digits[0] or semicolon_index == 1:
@@ -315,27 +322,15 @@ def _ones(width: int) -> int:
     return ones >> (spare << 3)
 
 
-def _scan(text: str) -> Transliteration:
-    """Tokenize as ``parse`` does, blanks allowed; the fault positions come from here.
+def _fault(text: str, tokens: list[str], k: int, start: int) -> ParseError:
+    """The error of ``tokens[k]``, the first token that misses without its blanks.
 
-    The tokens are looked up again without their blanks.  Only the first
-    one that still misses is read further, to name its fault.
+    ``tokens`` are the text's from column ``start`` on, split at its
+    commas and its first semicolon; the column of the fault is counted
+    from their lengths.
     """
-    whole, semicolon, fraction = text.partition(";")
-    start, semicolon_index = 0, None
-    if not whole.strip(" \t"):
-        if not semicolon:
-            raise ParseError("empty numeral", len(text))
-        start, semicolon_index, tokens = len(whole) + 1, 0, fraction.split(",")  # " ;45" is headless
-    else:
-        tokens = whole.split(",")
-        if semicolon:
-            semicolon_index = len(tokens)
-            tokens += fraction.split(",")
-    digits = list(map(_DIGIT_VALUE.get, map(str.strip, tokens, repeat(" \t"))))
-    if None not in digits:
-        return Transliteration(tuple(digits), semicolon_index, text)
-    k = digits.index(None)
+    if not text.strip(" \t"):
+        return ParseError("empty numeral", len(text))
     token = tokens[k]
     end = start + sum(map(len, tokens[:k])) + k + len(token)  # the column after the token
     body = token.lstrip(" \t")
@@ -343,19 +338,19 @@ def _scan(text: str) -> Transliteration:
     digit = body[: len(body) - len(rest)]
     column = end - len(body)
     if not digit:
-        raise ParseError("expected a digit", column)
+        return ParseError("expected a digit", column)
     if digit not in _DIGIT_VALUE:
         if digit[0] == "0":
             name = f"of {len(digit)} figures" if len(digit) > _MAX_FIGURES else repr(digit)
-            raise ParseError(f"zero-padded digit {name}", column)
+            return ParseError(f"zero-padded digit {name}", column)
         if len(digit) > _MAX_FIGURES:
-            raise ParseError(f"digit of {len(digit)} figures is out of range 0..59", column)
-        raise DigitRangeError(int(digit), column)
+            return ParseError(f"digit of {len(digit)} figures is out of range 0..59", column)
+        return DigitRangeError(int(digit), column)
     # A good digit with only blanks after it would not have missed: something else follows.
     column = end - len(rest.lstrip(" \t"))
     if text[column] == ";":
-        raise ParseError("more than one semicolon", column)
-    raise ParseError(f"unexpected character {text[column]!r}", column)
+        return ParseError("more than one semicolon", column)
+    return ParseError(f"unexpected character {text[column]!r}", column)
 
 
 @overload
@@ -479,8 +474,6 @@ def format(value: SexNumber | FloatingSex) -> str:
         value = _Digits.of(value)
     packed, exponent = value
     if not packed:
-        if exponent is None:
-            raise ValueError("an all-zero digit string has no floating value")
         return "0"
     block = packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
     text = _spell(block)

@@ -71,6 +71,20 @@ class TestParseCommand:
         )
         assert cli("parse", "07") == (2, "", "error: zero-padded digit '07' (column 1)\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (" ; 4 , 75", "digit 75 is out of range 0..59 (column 8)"),
+            (" ", "empty numeral (column 2)"),
+            ("  ", "empty numeral (column 3)"),
+            (" ;", "expected a digit (column 3)"),
+            (" , ".join(["1"] * 1000) + " ; 7 ; 8", "more than one semicolon (column 4003)"),
+        ],
+        ids=["headless-75", "one-blank", "two-blanks", "headless-empty", "second-semicolon"],
+    )
+    def test_blank_and_headless_faults_are_named(self, cli, text, message):
+        assert cli("parse", text) == (2, "", f"error: {message}\n")
+
     def test_floating_zero(self, cli):
         code, _, err = cli("parse", "0", "--floating")
         assert code == 2

@@ -439,6 +439,18 @@ class TestPackedChainSteps:
         semicolon_index = data.draw(st.none() | st.integers(0, len(digits)))
         self.check(numerals_from(digits, semicolon_index))
 
+    @given(
+        st.lists(st.sampled_from([0, 1, 30, 59]) | st.integers(0, 59), min_size=1, max_size=300),
+        st.none() | st.integers(-5, 5),
+    )
+    def test_non_zero_digits_never_step_to_zero(self, digits, exponent):
+        # So format needs no floating zero: read, double and halve never make one.
+        digits[0] = digits[0] or 1  # packed digits have no leading zero,
+        digits[-1] = digits[-1] or 30  # and no trailing one
+        packed = translit._Digits(int.from_bytes(bytes(digits), "big"), exponent)
+        for stepped in (packed.double(), packed.halve()):
+            assert stepped.packed & 0xFF, stepped  # not zero, and its last digit is not either
+
     def test_short_value_right_after_a_long_one(self, monkeypatch):
         # The 2,000-digit steps leave a long mask kept; the 3-digit ones cut it down.
         monkeypatch.setattr(translit, "_ONES", [1])
