@@ -455,6 +455,43 @@ class TestParseAgreesWithTheCharacterReference:
         assert outcome(parse, text) == outcome(reference_scan, text)
 
 
+def spaced(text, blank):
+    """text with blank at both ends and on both sides of every comma and semicolon."""
+    return blank + text.replace(",", blank + "," + blank).replace(";", blank + ";" + blank) + blank
+
+
+def without_column(result):
+    """A reading's digits and semicolon, or an error's type and message without its column."""
+    if isinstance(result, Transliteration):
+        return result.digits, result.semicolon_index
+    kind, message, _ = result
+    return kind, message.rsplit(" (column ", 1)[0]
+
+
+class TestBlankSpellingReadsLikeTheCompactSpelling:
+    """Blanks miss the token lookup, so parse reads them again; only columns may move."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["05", "60", "0,5", ";0,45", "0;6", "1;2;3", ",5", ";", "", "  0,5",
+         "10,12;45", "0", "59,0", "1;", "1,,2", "١", "x", "-5", "1;2,60", "7;05"],
+    )
+    def test_explicit_cases(self, text):
+        self.check(text)
+
+    @given(numeral_texts)
+    def test_near_numerals(self, text):
+        self.check(text)
+
+    @staticmethod
+    def check(text):
+        compact = without_column(outcome(parse, text))
+        for blank in (" ", "\t", "  "):
+            long_text = spaced(text, blank)
+            assert outcome(parse, long_text) == outcome(reference_scan, long_text)
+            assert without_column(outcome(parse, long_text)) == compact
+
+
 def lookup_reading(text):
     """What _run must return: the digits and semicolon index parse's lookup finds, or None.
 
