@@ -132,21 +132,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _emit(path: str | None, lines: Iterable[str]) -> int:
+    # writelines takes one generated line at a time, so memory holds one
+    # line, however long the table.
     if path is None or path == "-":
-        _write(sys.stdout, lines)
+        sys.stdout.writelines(lines)
     elif os.path.exists(path) and not os.path.isfile(path):
         # A directory, device or pipe: there is no file to swap, so open it as named.
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            _write(handle, lines)
+            handle.writelines(lines)
     else:
         _replace(path, lines)
     return EXIT_OK
-
-
-def _write(handle, lines: Iterable[str]) -> None:
-    """Write line by line, so memory holds one line, however long the table."""
-    for line in lines:
-        handle.write(line)
 
 
 def _replace(path: str, lines: Iterable[str]) -> None:
@@ -173,7 +169,7 @@ def _replace(path: str, lines: Iterable[str]) -> None:
         )
         # 64 KiB a write, as parse_tsv reads: a 7.9 MB table goes out in about 120 writes.
         with open(fd, "w", encoding="utf-8", newline="\n", buffering=1 << 16) as handle:
-            _write(handle, lines)
+            handle.writelines(lines)
         os.chmod(temporary, mode)
         os.replace(temporary, target)
     except BaseException as exc:

@@ -38,13 +38,14 @@ clean table converts row 1 alone, and no chain check converts at all.
 
 Two walks step whatever doubles and halves: ``_doubling_rows``, one
 chain, and ``_standard_rows``, the chains of every odd regular number
-merged in ascending order, keeping the newest row of each.  The
-``generate_`` functions walk them on value objects, and the ``_tsv``
-ones on the ``_Digits`` of each chain's first row, so no value is built
-and no base-60 conversion is made after it.  There is one line writer,
-``table_tsv``, which spells each row from its own cells with
-``translit.format``.  The tests compare the two walks' lines, and
-``format`` of value objects shares no code with the packed steps.
+merged in ascending order, keeping in a queue each row whose double is
+still to come.  The ``generate_`` functions walk them on value objects,
+and the ``_tsv`` ones on the ``_Digits`` of each chain's first row, so
+no value is built and no base-60 conversion is made after it.  There
+is one line writer, ``table_tsv``, which spells each row from its own
+cells with ``translit.format``.  The tests compare the two walks'
+lines, and ``format`` of value objects shares no code with the packed
+steps.
 
 Table file format (bit-exact): UTF-8, one row per line, three
 TAB-separated fields ``index<TAB>value<TAB>reciprocal``, every line
@@ -53,7 +54,7 @@ ending in LF (the last one too), no header.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 from . import translit
@@ -140,15 +141,17 @@ def _standard_rows(limit: int, carry: Callable[[int], Any]) -> Iterator[TableRow
     _require_int("limit", limit)
     if limit < 2:
         raise ValueError(f"limit must be at least 2, got {limit}")
-    newest = {1: (carry(1), carry(1))}  # n -> its row's values while 2n <= limit; 1 is no row
+    # Rows of n with 2n <= limit whose doubles are to come, oldest first (1 is
+    # no row); even numbers come in the order of their halves, so n // 2 is first.
+    pending = deque([(carry(1), carry(1))])
     for index, n in enumerate(regular_numbers(limit), start=1):
         if n & 1:
             value, rec = carry(n), carry(reciprocal(n).mantissa)
         else:
-            value, rec = newest.pop(n >> 1)
+            value, rec = pending.popleft()
             value, rec = value.double(), rec.halve()
         if n << 1 <= limit:
-            newest[n] = value, rec
+            pending.append((value, rec))
         yield TableRow(index, value, rec)
 
 

@@ -49,11 +49,12 @@ on, by more with every token: 24 against 54-56 us at 2,407 characters.
 Integers convert each way once, by divide and conquer over the cached
 powers 60**2**j (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
 §1.7): ``_digits_of``, under ``format``, splits a mantissa into halves,
-quarters, ... and writes blocks of 32 digits two per step from a table
-of the 3,600 two-byte digit pairs; ``_value_of``, under ``to_number``,
-combines all digits pairwise, level by level, in one packed integer.
-Either way the Python-level work per digit no longer grows with the
-length, only a few big-integer steps per level.
+quarters, ... and writes blocks of 32 digits one per ``divmod`` by 60,
+as the short case of ``_value_of`` folds them in one per step;
+``_value_of``, under ``to_number``, combines all digits pairwise, level
+by level, in one packed integer.  Either way the Python-level work per
+digit no longer grows with the length, only a few big-integer steps
+per level.
 
 Digits that are already base 60 need no conversion at all.  The
 private ``_Digits`` holds them packed one per byte into one int, read
@@ -73,7 +74,6 @@ Place value is laid out after the digits are spelled, by ``_anchored``.
 from __future__ import annotations
 
 from binascii import hexlify
-from functools import cache
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Literal, NamedTuple, overload
@@ -82,8 +82,7 @@ from .core import BASE, FloatingSex, SexNumber, _Value
 
 _DIGIT_VALUE = {str(d): d for d in range(BASE)}
 _LEAF = 5  # _digits_of writes blocks of 2**_LEAF digits with a short loop
-_LEAF_PAIRS = range(1 << _LEAF - 1)  # two digits per step
-_PAIR = BASE * BASE
+_LEAF_DIGITS = range(1 << _LEAF)  # one digit per step
 _POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squared on demand
 _MASKS: dict[int, list[int]] = {}  # levels -> to_number's field mask at each level
 _SHORT = 128  # to_number folds this many digits or fewer one by one
@@ -401,27 +400,20 @@ def _value_of(digits: tuple[int, ...] | bytes) -> int:
     return packed
 
 
-@cache
-def _pair_bytes() -> tuple[bytes, ...]:
-    """The 3,600 digit pairs of h*60 + l as two bytes (h, l), 0 padded; built on first use."""
-    return tuple([bytes((h, l)) for h in range(BASE) for l in range(BASE)])
-
-
 def _digits_of(mantissa: int) -> bytes:
     """The base-60 digits of a non-negative integer, one per byte, most significant first.
 
     Blocks of 60**2**j are split off the top while they fit and halved
     level by level into blocks of 2**_LEAF digits.  Those and the head
-    left above them are written two digits per step, a remainder by 60**2
-    looked up in the pair table, and joined once; the top pair's padding
-    zero is dropped, and zero has no digits.
+    left above them are written one digit per step, a remainder by 60,
+    and joined once; the head is not zero after a split, so no leading
+    zero is written, and zero has no digits.
     """
-    pairs = _pair_bytes()
     head = mantissa
     top = _LEAF
     while head >= _POWERS[_LEAF + 1] and _power(top + 1) <= head:  # below 60**64, no split
         top += 1
-    out: list[bytes] = []  # digit pairs, least significant first
+    out = bytearray()  # digits, least significant first
     append = out.append
     for j in range(top, _LEAF, -1):
         if head >= _POWERS[j]:
@@ -430,14 +422,14 @@ def _digits_of(mantissa: int) -> bytes:
             for i in range(j - 1, _LEAF - 1, -1):
                 blocks = list(chain.from_iterable(map(divmod, blocks, repeat(_POWERS[i]))))
             for block in reversed(blocks):
-                for _ in _LEAF_PAIRS:
-                    block, low = divmod(block, _PAIR)
-                    append(pairs[low])
+                for _ in _LEAF_DIGITS:
+                    block, low = divmod(block, BASE)
+                    append(low)
     while head:
-        head, low = divmod(head, _PAIR)
-        append(pairs[low])
+        head, low = divmod(head, BASE)
+        append(low)
     out.reverse()
-    return b"".join(out).lstrip(b"\0")
+    return bytes(out)
 
 
 def _spell(block: bytes) -> str:

@@ -282,6 +282,10 @@ class TestTableCommands:
                 self.handle.flush()
                 raise error
 
+            def writelines(self, lines):  # as io.IOBase.writelines: one write per line
+                for line in lines:
+                    self.write(line)
+
         def half_open(*args, **kwargs):
             return HalfWriter(builtins.open(*args, **kwargs))
 

@@ -631,7 +631,8 @@ def format_oracle(value):
 class TestLongNumbers:
     """Divide-and-conquer conversion at the edges of its blocks."""
 
-    @pytest.mark.parametrize("k", [*range(1, 131), 1024])  # 32, 64 and 128 edge the blocks
+    # 32, 64, 128, ... 4096 edge the blocks and the splits of _digits_of
+    @pytest.mark.parametrize("k", [*range(1, 131), 256, 512, 1024, 2048, 4096])
     def test_around_powers_of_60(self, k):
         for m in (60**k - 1, 60**k, 60**k + 1):
             text = translit._spell(translit._digits_of(m))
