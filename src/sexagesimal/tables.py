@@ -25,16 +25,16 @@ The table path streams, so memory does not grow with the row count:
   ``MODES`` gives the relations each mode checks; the CLI reports from
   these two tables.
 
-``verify_table`` builds no value object.  A row is a pair when the
-integers its two cells' digits spell multiply to a power of 60, which
-trailing zero digits do not change; pairs mode computes this for every
-row.  Doubling mode reads cells with ``translit._Digits.read``, the
-reading rule that ``to_number`` goes through too, into base-60 digits
-packed one per byte into an int, which double and halve themselves,
-and computes a row's pair only when it does not follow from the row
-before: if row i-1 is a reciprocal pair and row i doubles its value
-and halves its reciprocal, row i is one too, as (2x)(y/2) = xy.  A
-clean table converts row 1 alone, and no chain check converts at all.
+``verify_table`` builds no value object and keeps one form per cell.
+A row is a pair when the integers its cells' digits spell multiply to
+a power of 60, which zero digits at either end do not change.  Pairs
+mode keeps each cell's parsed numeral and computes this for every row.
+Doubling mode reads each cell once, with ``translit._Digits.read``, the
+rule ``to_number`` reads by, into digits packed one per byte into an
+int that doubles and halves itself, and computes a row's pair from them
+only if the row before does not prove it: if row i-1 is a pair and row
+i doubles its value and halves its reciprocal, row i is one too, as
+(2x)(y/2) = xy.  A clean table converts row 1 alone; chain checks never do.
 
 Two walks step whatever doubles and halves: ``_doubling_rows``, one
 chain, and ``_standard_rows``, the chains of every odd regular number
@@ -171,7 +171,7 @@ class VerificationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.findings
 
-    def bad(self) -> tuple[Finding, ...]:  # read by bench/spans.py and the tests
+    def bad(self) -> tuple[Finding, ...]:  # read by bench/spans.py only
         return self.findings
 
 
@@ -183,12 +183,13 @@ def verify_table(
     Every row counts as PAIR_OK or PAIR_BAD (is the product of its
     cells' digit integers a power of 60?).  In "doubling" mode each
     adjacent pair of rows also counts as DOUBLING_OK/BAD for the value
-    column and HALVING_OK/BAD for the reciprocal column.  Cells that fail
-    to parse yield a PARSE_ERROR finding for their row and the remaining
-    checks continue without them.  The row findings come first, then the
-    chain findings, each in row order.  Nothing is ever corrected.  What
-    each mode converts is told in the module docstring; which relations
-    it counts, in ``MODES``.
+    column and HALVING_OK/BAD for the reciprocal column; one recorder
+    counts all three and reports each that fails.  A cell that fails to
+    parse yields a PARSE_ERROR finding for its row, and the other checks
+    go on without it.  Row findings come first, then chain findings,
+    each in row order.  Nothing is ever corrected.  A cell is kept in
+    one form, its ``_Digits`` in doubling mode and its numeral in pairs
+    mode (see the module docstring); ``MODES`` gives what each counts.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -197,54 +198,46 @@ def verify_table(
     row_findings: list[Finding] = []  # PAIR_BAD and PARSE_ERROR
     chain_findings: list[Finding] = []  # DOUBLING_BAD and HALVING_BAD
 
-    def record(holds, ok_kind, bad_kind, index, message, *args):
+    def record(findings, holds, ok_kind, bad_kind, index, message, *args):
         if holds:
             counts[ok_kind] += 1
-        else:
+        else:  # the message is formatted for a failed relation only
             counts[bad_kind] += 1
-            chain_findings.append(Finding(bad_kind, index, message.format(*args)))
+            findings.append(Finding(bad_kind, index, message.format(*args)))
         return holds
 
     def parse_cell(index, field, text, reading):
-        """(numeral, its _Digits in doubling mode or the numeral again), or (None, None)."""
+        """The cell's _Digits in doubling mode, else its numeral; None if it does not parse."""
         try:
             numeral = translit.parse(text)
-            if reading == "floating" and not any(numeral.digits):
-                _Digits.read(numeral, reading)  # all zero: no floating reading, so this raises
-            return numeral, _Digits.read(numeral, reading) if doubling else numeral
+            if doubling or reading == "floating" and not any(numeral.digits):
+                return _Digits.read(numeral, reading)  # an all-zero floating value raises
+            return numeral
         except ValueError as exc:  # covers ParseError and the floating-zero case
             counts[PARSE_ERROR] += 1
             row_findings.append(Finding(PARSE_ERROR, index, f"{field} {text!r}: {exc}"))
-            return None, None
+            return None
 
     prev_index, prev_value, prev_rec, prev_pair = 0, None, None, False
     for index, value_text, reciprocal_text in rows:
-        value_numeral, value = parse_cell(index, "value", value_text, "floating")
-        rec_numeral, rec = parse_cell(index, "reciprocal", reciprocal_text, "absolute")
+        value = parse_cell(index, "value", value_text, "floating")
+        rec = parse_cell(index, "reciprocal", reciprocal_text, "absolute")
         proved = False
         if doubling:
             doubled = prev_value is not None and value is not None and record(
-                value == prev_value.double(), DOUBLING_OK, DOUBLING_BAD,
+                chain_findings, value == prev_value.double(), DOUBLING_OK, DOUBLING_BAD,
                 index, "value is not the double of row {}'s", prev_index,
             )
             halved = prev_rec is not None and rec is not None and record(
-                rec == prev_rec.halve(), HALVING_OK, HALVING_BAD,
+                chain_findings, rec == prev_rec.halve(), HALVING_OK, HALVING_BAD,
                 index, "reciprocal is not half of row {}'s", prev_index,
             )
             proved = prev_pair and doubled and halved
-        pair = False
-        if value is not None and rec is not None:
-            pair = proved or _is_power_of_60(
-                translit._value_of(value_numeral.digits) * translit._value_of(rec_numeral.digits)
-            )
-            if pair:
-                counts[PAIR_OK] += 1
-            else:  # the texts are stripped for the message only
-                counts[PAIR_BAD] += 1
-                pair_text = f"{value_text.strip()} and {reciprocal_text.strip()}"
-                row_findings.append(
-                    Finding(PAIR_BAD, index, f"{pair_text} are not a reciprocal pair")
-                )
+        pair = value is not None and rec is not None and record(
+            row_findings, proved or _is_power_of_60(
+                translit._value_of(value.digits) * translit._value_of(rec.digits)),
+            PAIR_OK, PAIR_BAD, index, "{} and {} are not a reciprocal pair",
+            value_text.strip(), reciprocal_text.strip())  # the texts are stripped for the message
         prev_index, prev_value, prev_rec, prev_pair = index, value, rec, pair
     return VerificationReport(tuple(row_findings + chain_findings), counts)
 

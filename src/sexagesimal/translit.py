@@ -171,8 +171,9 @@ class _Digits(NamedTuple):
     The first and the last digit are not zero.  With ``exponent`` None
     the digits are a floating digit string; with an int they are the
     value m * 60**exponent, m the integer they spell, as a SexNumber's
-    (mantissa, exponent).  Zero is ``_Digits(0, 0)``.  Both readings are
-    canonical, so two ``_Digits`` are equal exactly when their numbers are.
+    (mantissa, exponent).  Zero is ``_Digits(0, 0)``, with no ``digits``.
+    Both readings are canonical, so two ``_Digits`` are equal exactly
+    when their numbers are.
     """
 
     packed: int
@@ -226,6 +227,12 @@ class _Digits(NamedTuple):
             return _Digits(halved, None if exponent is None else exponent - 1)
         # An even last digit leaves 0 in its place; the half of it above is not 0.
         return _Digits(halved >> 8, exponent)
+
+    @property
+    def digits(self) -> bytes:
+        """The digits one per byte, most significant first; zero has none."""
+        packed = self.packed
+        return packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
 
 
 _set_digits = Transliteration.digits.__set__
@@ -364,9 +371,9 @@ def to_number(t, mode):
     A floating value stands for its digit string's whole equivalence
     class; an absolute one has the place value the semicolon gives.
     """
-    packed, exponent = _Digits.read(t, mode)
-    value = _value_of(packed.to_bytes((packed.bit_length() + 7) >> 3, "big"))
-    return FloatingSex(value) if exponent is None else SexNumber(value, exponent)
+    packed = _Digits.read(t, mode)
+    value = _value_of(packed.digits)
+    return FloatingSex(value) if packed.exponent is None else SexNumber(value, packed.exponent)
 
 
 def _power(j: int) -> int:
@@ -464,9 +471,8 @@ def format(value: SexNumber | FloatingSex) -> str:
     """
     if not isinstance(value, _Digits):  # a table row's _Digits are spelled as they are
         value = _Digits.of(value)
-    packed, exponent = value
-    if not packed:
+    block = value.digits
+    if not block:
         return "0"
-    block = packed.to_bytes((packed.bit_length() + 7) >> 3, "big")
     text = _spell(block)
-    return text if exponent is None else _anchored(text, len(block), exponent)
+    return text if value.exponent is None else _anchored(text, len(block), value.exponent)
