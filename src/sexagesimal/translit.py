@@ -81,11 +81,10 @@ from typing import Literal, NamedTuple, overload
 from .core import BASE, FloatingSex, SexNumber, _Value
 
 _DIGIT_VALUE = {str(d): d for d in range(BASE)}
-_LEAF = 5  # _digits_of writes blocks of 2**_LEAF digits with a short loop
+_LEAF = 5  # _digits_of writes, and _value_of folds, up to 2**_LEAF digits with a short loop
 _LEAF_DIGITS = range(1 << _LEAF)  # one digit per step
 _POWERS = [BASE ** (1 << j) for j in range(_LEAF + 2)]  # 60**2**j; the rest squared on demand
 _MASKS: dict[int, list[int]] = {}  # levels -> to_number's field mask at each level
-_SHORT = 128  # to_number folds this many digits or fewer one by one
 # An out-of-range or zero-padded digit token of more figures is named by its
 # length, not its figures; int() of this many is within any int/str limit that
 # can be set (640 at least).
@@ -385,7 +384,7 @@ def _power(j: int) -> int:
 
 def _value_of(digits: tuple[int, ...] | bytes) -> int:
     """The integer that base-60 digits spell, most significant first."""
-    if len(digits) <= _SHORT:
+    if len(digits) <= 1 << _LEAF:
         value = 0
         for d in digits:
             value = value * BASE + d

@@ -5,21 +5,15 @@ lines.  Every tolerance is exact; the timed criteria also assert their
 runtime budgets.
 """
 
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
-from conftest import run_cli
+from conftest import run_child, run_cli
 
 from sexagesimal import translit
 from sexagesimal.core import FloatingSex
 from sexagesimal.regular import is_regular, reciprocal
 from sexagesimal.tables import generate_doubling
-
-SRC = str(Path(__file__).parent.parent / "src")
 
 
 def report(number: int, description: str, ok: bool, extra: str = "") -> None:
@@ -29,22 +23,11 @@ def report(number: int, description: str, ok: bool, extra: str = "") -> None:
     assert ok, f"criterion {number} failed: {description}"
 
 
-def run_cli_subprocess(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "sexagesimal", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
 def test_criterion_1_golden_table(golden_text):
     start = time.perf_counter()
-    result = run_cli_subprocess("table", "double", "--seed", "10", "--rows", "30")
+    code, out, _ = run_child("table", "double", "--seed", "10", "--rows", "30")
     elapsed = time.perf_counter() - start
-    ok = result.returncode == 0 and result.stdout == golden_text and elapsed < 1.0
+    ok = code == 0 and out == golden_text.encode() and elapsed < 1.0
     report(
         1,
         "doubling table from seed 10 reproduces the 30-row transcription byte-for-byte",

@@ -5,7 +5,6 @@ import errno
 import os
 import re
 import signal
-import subprocess
 import sys
 import threading
 import time
@@ -13,10 +12,9 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from conftest import run_child, start_child
 
 from sexagesimal import cli as cli_module
-
-SRC = str(Path(__file__).parent.parent / "src")
 
 
 def str_golden_path() -> str:
@@ -542,25 +540,10 @@ class TestUsage:
 class TestSubprocess:
     """One true end-to-end pass through the installed entry point."""
 
-    def _run(self, *args: str):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.run(
-            [sys.executable, "-m", "sexagesimal", *args],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-
-    def test_golden_table(self, golden_text):
-        result = self._run("table", "double", "--seed", "10", "--rows", "30")
-        assert result.returncode == 0
-        assert result.stdout == golden_text
-
     def test_exit_code_propagates(self):
-        result = self._run("recip", "40,51")
-        assert result.returncode == 1
-        assert "817" in result.stderr
+        code, _, err = run_child("recip", "40,51")
+        assert code == 1
+        assert b"817" in err
 
 
 class TestStreaming:
@@ -577,10 +560,6 @@ class TestStreaming:
         "sys.exit(code)\n"
     )
 
-    @staticmethod
-    def env():
-        return dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
     def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
         peaks = {}
@@ -591,12 +570,9 @@ class TestStreaming:
                 ("verify", ["verify", "--mode", "doubling", table]),
                 ("standard", ["table", "standard", "--limit", str(limit), "-o", standard]),
             ]:
-                result = subprocess.run(
-                    [sys.executable, "-c", self.MEASURED, *map(str, argv)],
-                    capture_output=True, text=True, env=self.env(),
-                )
-                assert result.returncode == 0, result.stderr
-                peaks[name, size] = int(result.stderr)
+                code, _, err = run_child(*map(str, argv), script=self.MEASURED)
+                assert code == 0, err
+                peaks[name, size] = int(err)
         # 14 MB of doubling table and 25,520 standard rows at the larger size
         assert (tmp_path / "4000.tsv").stat().st_size > 14_000_000
         for name in ("double", "verify", "standard"):
@@ -605,10 +581,8 @@ class TestStreaming:
     def test_killed_write_keeps_the_old_table(self, tmp_path):
         target = tmp_path / "table.tsv"
         target.write_bytes(b"old\n")
-        child = subprocess.Popen(
-            [sys.executable, "-m", "sexagesimal", "table", "double", "--seed", "10",
-             "--rows", "10000", "-o", str(target)],
-            env=self.env(),
+        child = start_child(
+            "table", "double", "--seed", "10", "--rows", "10000", "-o", str(target)
         )
         try:
             deadline = time.monotonic() + 60

@@ -683,6 +683,7 @@ class TestLongNumbers:
                 assert list(digits) == digits_oracle(m)
                 assert len(digits) == length
                 assert translit._value_of(digits) == m
+                assert translit._value_of(tuple(digits)) == m  # as pairs mode hands it over
 
     def test_every_mantissa_up_to_three_digits(self):
         # Odd and even digit counts, and heads of one and two digits.
