@@ -8,7 +8,7 @@ runtime budgets.
 import random
 import time
 
-from conftest import run_child, run_cli
+from conftest import division_terminates, run_child, run_cli, valuation
 
 from sexagesimal import translit
 from sexagesimal.core import FloatingSex
@@ -56,10 +56,7 @@ def test_criterion_3_reciprocal_pair_property():
         a, b, c = (rng.randint(0, 20) for _ in range(3))
         x = FloatingSex(2**a * 3**b * 5**c)
         r = reciprocal(x)
-        product = x.mantissa * r.mantissa
-        while product % 60 == 0:
-            product //= 60
-        if product != 1 or reciprocal(r) != x:
+        if valuation(x.mantissa * r.mantissa, 60)[0] != 1 or reciprocal(r) != x:
             failures += 1
     elapsed = time.perf_counter() - start
     ok = failures == 0 and elapsed < 5.0
@@ -72,15 +69,6 @@ def test_criterion_3_reciprocal_pair_property():
 
 
 def test_criterion_4_regularity_oracle():
-    def division_terminates(n: int) -> bool:
-        # remainder-cycle oracle: finite iff 0 shows up before a repeat
-        seen = set()
-        r = 1 % n
-        while r and r not in seen:
-            seen.add(r)
-            r = r * 60 % n
-        return r == 0
-
     start = time.perf_counter()
     disagreements = [
         n for n in range(1, 10001) if is_regular(n) != division_terminates(n)

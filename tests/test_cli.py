@@ -12,13 +12,9 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from conftest import run_child, start_child
+from conftest import GOLDEN_TSV, STANDARD_TSV, run_child, start_child
 
 from sexagesimal import cli as cli_module
-
-
-def str_golden_path() -> str:
-    return str(Path(__file__).parent / "data" / "doubling_seed10_rows30.tsv")
 
 
 class TestParseCommand:
@@ -191,10 +187,10 @@ class TestTableCommands:
         second = cli("table", "standard", "--limit", "300")
         assert first == second
 
-    def test_standard_small(self, cli):
-        code, out, _ = cli("table", "standard", "--limit", "8")
-        assert code == 0
-        assert out == "1\t2\t30\n2\t3\t20\n3\t4\t15\n4\t5\t12\n5\t6\t10\n6\t8\t7,30\n"
+    def test_standard_matches_the_old_babylonian_table(self, cli):
+        # igi 2 = 30 to igi 1,21 = 44,26,40; igi 1 (60) = 1.
+        code, out, err = cli("table", "standard", "--limit", "81")
+        assert (code, out.encode(), err) == (0, STANDARD_TSV.read_bytes(), "")
 
     def test_anchor_flag(self, cli):
         code, out, _ = cli("table", "double", "--seed", "10", "--rows", "1", "--anchor", "1")
@@ -321,17 +317,6 @@ class TestTableCommands:
 
 
 class TestVerifyCommand:
-    def test_clean_doubling(self, cli):
-        code, out, _ = cli("verify", str_golden_path(), "--mode", "doubling")
-        assert code == 0
-        assert "#RESULT ok=true" in out
-        assert "pair_bad=0" in out
-
-    def test_default_mode_is_pairs(self, cli):
-        code, out, _ = cli("verify", str_golden_path())
-        assert code == 0
-        assert "doubling:" not in out
-
     def test_bad_row_fails(self, cli, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("1\t10\t0;7\n", encoding="utf-8")
@@ -341,7 +326,7 @@ class TestVerifyCommand:
         assert "#RESULT ok=false" in out
 
     def test_row_findings_come_before_chain_findings(self, cli, tmp_path):
-        lines = Path(str_golden_path()).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = GOLDEN_TSV.read_text(encoding="utf-8").splitlines(keepends=True)
         for row in (5, 12):
             index, value, reciprocal = lines[row - 1].split("\t")
             value = value[:-1] + str((int(value[-1]) + 1) % 10)
@@ -360,70 +345,14 @@ class TestVerifyCommand:
             "row 13: DOUBLING_BAD",
         ]
 
-    # The whole report, byte for byte: findings, one line per relation the mode
-    # checks, parse errors when there are any, and #RESULT with every relation.
-    CORRUPT_FINDINGS = (
-        "row 7: PAIR_BAD: 10,41 and 0;0,5,37,30 are not a reciprocal pair\n"
-        "row 12: PARSE_ERROR: reciprocal '0;0;0,10,32,48,45': more than one semicolon"
-        " (column 4)\n"
-        "row 20: PARSE_ERROR: value '24,16,21,20x': unexpected character 'x' (column 12)\n"
-    )
-    REPORTS = {
-        ("golden", "pairs"): (
+    def test_old_babylonian_table_verifies(self, cli):
+        code, out, err = cli("verify", str(STANDARD_TSV))
+        assert (code, err, out.splitlines()[-1]) == (
             0,
-            "pairs: 30 ok, 0 bad\n"
+            "",
             "#RESULT ok=true pair_ok=30 pair_bad=0 doubling_ok=0 doubling_bad=0"
-            " halving_ok=0 halving_bad=0 parse_errors=0\n",
-        ),
-        ("golden", "doubling"): (
-            0,
-            "pairs: 30 ok, 0 bad\n"
-            "doubling: 29 ok, 0 bad\n"
-            "halving: 29 ok, 0 bad\n"
-            "#RESULT ok=true pair_ok=30 pair_bad=0 doubling_ok=29 doubling_bad=0"
-            " halving_ok=29 halving_bad=0 parse_errors=0\n",
-        ),
-        ("corrupt", "pairs"): (
-            1,
-            CORRUPT_FINDINGS
-            + "pairs: 27 ok, 1 bad\n"
-            "parse errors: 2\n"
-            "#RESULT ok=false pair_ok=27 pair_bad=1 doubling_ok=0 doubling_bad=0"
-            " halving_ok=0 halving_bad=0 parse_errors=2\n",
-        ),
-        ("corrupt", "doubling"): (
-            1,
-            CORRUPT_FINDINGS
-            + "row 7: DOUBLING_BAD: value is not the double of row 6's\n"
-            "row 8: DOUBLING_BAD: value is not the double of row 7's\n"
-            "pairs: 27 ok, 1 bad\n"
-            "doubling: 25 ok, 2 bad\n"
-            "halving: 27 ok, 0 bad\n"
-            "parse errors: 2\n"
-            "#RESULT ok=false pair_ok=27 pair_bad=1 doubling_ok=25 doubling_bad=2"
-            " halving_ok=27 halving_bad=0 parse_errors=2\n",
-        ),
-    }
-
-    @staticmethod
-    def corrupt_golden(path):
-        """The golden table with a flipped value digit, a ',' made ';' in a
-        reciprocal, an unparseable cell and a cell spelled with blanks."""
-        rows = [line.split("\t") for line in Path(str_golden_path()).read_text().splitlines()]
-        rows[6][1] = rows[6][1][:-1] + "1"  # 10,40 -> 10,41
-        rows[11][2] = rows[11][2].replace(",", ";", 1)
-        rows[19][1] += "x"
-        rows[24][1] = " " + rows[24][1].replace(",", " , ") + " "
-        path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
-
-    @pytest.mark.parametrize("table, mode", list(REPORTS))
-    def test_whole_report(self, cli, tmp_path, table, mode):
-        path = Path(str_golden_path())
-        if table == "corrupt":
-            path = tmp_path / "corrupt.tsv"
-            self.corrupt_golden(path)
-        code, out = self.REPORTS[table, mode]
-        assert cli("verify", "--mode", mode, str(path)) == (code, out, "")
+            " halving_ok=0 halving_bad=0 parse_errors=0",
+        )
 
     def test_missing_file(self, cli):
         code, _, err = cli("verify", "/no/such/file.tsv")
@@ -446,7 +375,7 @@ class TestVerifyCommand:
 
     def test_missing_final_lf_is_a_structural_fault(self, cli, tmp_path):
         cut = tmp_path / "cut.tsv"
-        cut.write_bytes(Path(str_golden_path()).read_bytes()[:-1])
+        cut.write_bytes(GOLDEN_TSV.read_bytes()[:-1])
         assert cli("verify", str(cut)) == (
             2, "", "error: line 30: the file does not end in LF\n"
         )
@@ -466,7 +395,7 @@ class TestVerifyCommand:
         )
 
     def test_bad_rows_before_a_structural_fault_print_nothing(self, cli, tmp_path):
-        lines = Path(str_golden_path()).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines = GOLDEN_TSV.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[3] = lines[3].replace("0;", "0;1", 1)
         lines[20] = "21\t1\n"
         broken = tmp_path / "broken.tsv"

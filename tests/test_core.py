@@ -8,26 +8,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import rational, same_fields, valuation, value_of
 from hypothesis import given
 from hypothesis import strategies as st
 
 from sexagesimal.core import BASE, ONE, ZERO, FloatingSex, SexNumber, _remove_factor, multiply
 from sexagesimal.translit import Transliteration
-
-
-def rational(x: SexNumber) -> Fraction:
-    # Independent valuation used as the oracle throughout this module.
-    return Fraction(x.mantissa) * Fraction(BASE) ** x.exponent
-
-
-def strip_oracle(mantissa: int, exponent: int) -> tuple[int, int]:
-    # Brute-force factor stripping, kept separate from the implementation.
-    if mantissa == 0:
-        return 0, 0
-    while mantissa % 60 == 0:
-        mantissa //= 60
-        exponent += 1
-    return mantissa, exponent
 
 
 sex_numbers = st.builds(
@@ -55,14 +41,15 @@ class TestNormalize:
         assert (SexNumber(0, 5).mantissa, SexNumber(0, 5).exponent) == (0, 0)
 
     def test_strips_factors_of_base(self):
-        assert strip_oracle(3600, 0) == (1, 2)
+        assert valuation(3600, BASE) == (1, 2)
         n = SexNumber(3600, 0)
         assert (n.mantissa, n.exponent) == (1, 2)
 
     @given(st.integers(min_value=0, max_value=BASE**10), st.integers(-20, 20))
-    def test_matches_strip_oracle(self, mantissa, exponent):
+    def test_matches_the_valuation(self, mantissa, exponent):
         n = SexNumber(mantissa, exponent)
-        assert (n.mantissa, n.exponent) == strip_oracle(mantissa, exponent)
+        r, k = valuation(mantissa, BASE) if mantissa else (0, -exponent)  # zero is (0, 0)
+        assert (n.mantissa, n.exponent) == (r, exponent + k)
         assert rational(n) == Fraction(mantissa) * Fraction(BASE) ** exponent
 
     def test_rejects_negative_mantissa(self):
@@ -189,45 +176,6 @@ class TestValueObjects:
             op(SexNumber(1), 1)
 
 
-def same_fields(a, b):
-    fields = lambda x: [(type(getattr(x, n)), getattr(x, n)) for n in x.__slots__]
-    return type(a) is type(b) and fields(a) == fields(b)
-
-
-# Mantissas around the cases where doubling or halving reaches a multiple
-# of 60, which the constructors must strip: multiples of 30 and of 60,
-# odd and even ones, and zero.
-EDGE_MANTISSAS = [0, 1, 2, 15, 29, 30, 31, 45, 59, 60, 61, 90, 120, 900, 1800, 3600,
-                  7 * 60**5, 30 * 60**9 + 30, 2**100, 3**80, 60**40 - 1]
-
-class TestTrustedPathsAgreeWithTheChecks:
-    """double, halve and to_floating against a constructor call on the mantissa each stands for."""
-
-    @pytest.mark.parametrize("m", EDGE_MANTISSAS)
-    def test_edge_mantissas(self, m):
-        self.check(m, -3)
-
-    @given(st.integers(0, BASE**12), st.integers(-20, 20))
-    def test_any_mantissa(self, m, e):
-        self.check(m, e)
-
-    @given(st.integers(0, BASE**6), st.integers(0, 6), st.integers(-20, 20))
-    def test_multiples_of_30_and_60(self, m, k, e):
-        self.check(m * 30**k, e)
-        self.check(m * 60**k, e)
-
-    @staticmethod
-    def check(m, e):
-        x = SexNumber(m, e)
-        assert same_fields(x.double(), SexNumber(x.mantissa * 2, x.exponent))
-        assert same_fields(x.halve(), SexNumber(x.mantissa * 30, x.exponent - 1))
-        if m:
-            f = FloatingSex(m)
-            assert same_fields(f.double(), FloatingSex(f.mantissa * 2))
-            assert same_fields(f.halve(), FloatingSex(f.mantissa * 30))
-            assert same_fields(x.to_floating(), FloatingSex(x.mantissa))
-
-
 class TestFloatingSex:
     def test_strips_and_keeps_mantissa(self):
         assert FloatingSex(600).mantissa == 10
@@ -300,6 +248,13 @@ class TestMultiply:
             assert rational(a + b) == rational(a) + rational(b)
 
 
+# Mantissas around the cases where doubling or halving reaches a multiple
+# of 60, which the constructors must strip: multiples of 30 and of 60,
+# odd and even ones, and zero.
+EDGE_MANTISSAS = [0, 1, 2, 15, 29, 30, 31, 45, 59, 60, 61, 90, 120, 900, 1800, 3600,
+                  7 * 60**5, 30 * 60**9 + 30, 2**100, 3**80, 60**40 - 1]
+
+
 class TestDoubleHalve:
     def test_doubling_a_table_value(self):
         # 10,40 doubles to 21,20
@@ -328,6 +283,34 @@ class TestDoubleHalve:
     def test_exactness(self, x):
         assert rational(x.double()) == 2 * rational(x)
         assert rational(x.halve()) == rational(x) / 2
+
+    @pytest.mark.parametrize("m", EDGE_MANTISSAS)
+    def test_exactness_at_the_edges(self, m):
+        self.check_exact(m, -3)
+
+    @given(st.integers(0, BASE**12), st.integers(-20, 20))
+    def test_exactness_of_any_mantissa(self, m, e):
+        self.check_exact(m, e)
+
+    @given(st.integers(0, BASE**6), st.integers(0, 6), st.integers(-20, 20))
+    def test_exactness_of_multiples_of_30_and_60(self, m, k, e):
+        self.check_exact(m * 30**k, e)
+        self.check_exact(m * 60**k, e)
+
+    @staticmethod
+    def check_exact(m, e):
+        # Each result exact and canonical, with int fields; a floating one is the
+        # class of the mantissa, or of twice or half it, every factor of 60 removed.
+        x = SexNumber(m, e)
+        for y, expected in ((x.double(), 2 * rational(x)), (x.halve(), rational(x) / 2)):
+            assert rational(y) == expected
+            assert y.mantissa % BASE or (y.mantissa, y.exponent) == (0, 0)
+            assert type(y.mantissa) is type(y.exponent) is int
+        if m:
+            f = FloatingSex(m)
+            assert same_fields(x.to_floating(), FloatingSex(valuation(m, BASE)[0]))
+            assert same_fields(f.double(), FloatingSex(valuation(2 * m, BASE)[0]))
+            assert same_fields(f.halve(), FloatingSex(valuation(30 * m, BASE)[0]))
 
 
 class TestCompare:
@@ -365,25 +348,13 @@ class TestFloatingRoundTrip:
 
     def test_multidigit_mantissa(self):
         # positional oracle on the digit string 6,54,15,8,5,20
-        digits = [6, 54, 15, 8, 5, 20]
-        expected = 0
-        for d in digits:
-            expected = expected * 60 + d
+        expected = value_of([6, 54, 15, 8, 5, 20])
         assert SexNumber(expected).to_floating() == FloatingSex(expected)
         assert FloatingSex(expected).mantissa == 5368709120
 
     @given(nonzero_sex_numbers)
     def test_round_trip(self, x):
         assert x.to_floating().anchor(x.exponent) == x
-
-
-def remove_factor_oracle(n: int, p: int) -> tuple[int, int]:
-    # One division per factor: the loop that the squaring kernel replaced.
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return n, k
 
 
 class TestRemoveFactor:
@@ -398,7 +369,7 @@ class TestRemoveFactor:
             r = rng.randrange(1, 10**40)
             r += r % p == 0  # not a multiple of p, so the valuation is exactly k
             n = p**k * r
-            assert _remove_factor(n, p) == remove_factor_oracle(n, p) == (r, k)
+            assert _remove_factor(n, p) == valuation(n, p) == (r, k)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 5, 30, 7 * 2**20, 59])
     def test_sixty_beside_its_own_prime_factors(self, r):
@@ -409,4 +380,4 @@ class TestRemoveFactor:
     @given(st.integers(0, 300), st.integers(1, 10**30), st.sampled_from([2, 3, 5, 7, 60]))
     def test_any_cofactor(self, k, r, p):
         n = p**k * r
-        assert _remove_factor(n, p) == remove_factor_oracle(n, p)
+        assert _remove_factor(n, p) == valuation(n, p)

@@ -250,33 +250,71 @@ def test_standard_table_from_packed_chains(cli, tmp_path):
 
 
 # Cells of the golden table, (row, column): the value of row 7, 10,40, made 10,41;
-# the second table also sets row 12's value to 0 and row 20's reciprocal to 0;0.
+# the second table also sets row 12's value to 0 and row 20's reciprocal to 0;0; the
+# third flips the same digit, makes a ',' a ';' in row 12's reciprocal, leaves an
+# unparseable cell in row 20 and spells row 25's value with blanks; "golden" is as it is.
 CORRUPTIONS = {
     "row-7": {(7, 1): "10,41"},
     "rows-7-12-20": {(7, 1): "10,41", (12, 1): "0", (20, 2): "0;0"},
+    "four-edits": {
+        (7, 1): "10,41",
+        (12, 2): "0;0;0,10,32,48,45",
+        (20, 1): "24,16,21,20x",
+        (25, 1): " 12 , 56 , 43 , 22 , 40 ",
+    },
+    "golden": {},
 }
-# The #RESULT line of verify's report, and the SHA-256 of the whole report: the
-# order, text and summary of every line, recorded at 18d3584.
+# verify's exit code, its #RESULT line and the SHA-256 of the whole report: the
+# order, text and summary of every line. Mode None runs the default, pairs. Recorded
+# at 18d3584; the four-edit and golden reports were spelled out in full at 99913ed.
 REPORTS = {
     ("row-7", "pairs"): (
+        1,
         "#RESULT ok=false pair_ok=29 pair_bad=1 doubling_ok=0 doubling_bad=0"
         " halving_ok=0 halving_bad=0 parse_errors=0",
         "0c8acd06164f7cee2a52f6a2f1342d4673de7a0ffc7992904940c4af459d6a6f",
     ),
     ("row-7", "doubling"): (
+        1,
         "#RESULT ok=false pair_ok=29 pair_bad=1 doubling_ok=27 doubling_bad=2"
         " halving_ok=29 halving_bad=0 parse_errors=0",
         "c2e5695f3c00d234f8c4fa1807077f775ae8ddf71526787ab1cecd14d3f4ba91",
     ),
     ("rows-7-12-20", "pairs"): (
+        1,
         "#RESULT ok=false pair_ok=27 pair_bad=2 doubling_ok=0 doubling_bad=0"
         " halving_ok=0 halving_bad=0 parse_errors=1",
         "453263e0767db39754de1a05fa1b16841536ae7f6e74d3ee905f2ce144a71849",
     ),
     ("rows-7-12-20", "doubling"): (
+        1,
         "#RESULT ok=false pair_ok=27 pair_bad=2 doubling_ok=25 doubling_bad=2"
         " halving_ok=27 halving_bad=2 parse_errors=1",
         "e51fedb3954b770ec6578033ee7b88cef05216f19f9b7a7ccde0f3cb22184063",
+    ),
+    ("four-edits", "pairs"): (
+        1,
+        "#RESULT ok=false pair_ok=27 pair_bad=1 doubling_ok=0 doubling_bad=0"
+        " halving_ok=0 halving_bad=0 parse_errors=2",
+        "176ea4a1c65f7d7368be846c42617a8d2d35746e49e255b674906417ba31bfb8",
+    ),
+    ("four-edits", "doubling"): (
+        1,
+        "#RESULT ok=false pair_ok=27 pair_bad=1 doubling_ok=25 doubling_bad=2"
+        " halving_ok=27 halving_bad=0 parse_errors=2",
+        "eefe9f199d241329928afaebf4a9ea1fc9ffb40de347f754b0c0a52bc62353bd",
+    ),
+    ("golden", None): (
+        0,
+        "#RESULT ok=true pair_ok=30 pair_bad=0 doubling_ok=0 doubling_bad=0"
+        " halving_ok=0 halving_bad=0 parse_errors=0",
+        "f14443a10c02d5d34763620399f3c3e2d8308cc6ca89120abc6d0309a32a98d0",
+    ),
+    ("golden", "doubling"): (
+        0,
+        "#RESULT ok=true pair_ok=30 pair_bad=0 doubling_ok=29 doubling_bad=0"
+        " halving_ok=29 halving_bad=0 parse_errors=0",
+        "0cef8bf6d424c909a154f7ce3d61fa1c675b7ffb3bde602dd1e428f7c12d443a",
     ),
 }
 
@@ -289,9 +327,8 @@ def test_report_on_a_corrupted_table(cli, tmp_path, golden_text, table, mode):
         rows[row - 1][column] = cell
     path = tmp_path / "corrupt.tsv"
     path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
-    code, out, err = cli("verify", "--mode", mode, str(path))
-    assert (code, err, out.splitlines()[-1], sha256(out.encode()).hexdigest()) == (
-        1,
-        "",
+    code, out, err = cli("verify", *(() if mode is None else ("--mode", mode)), str(path))
+    assert (code, out.splitlines()[-1], sha256(out.encode()).hexdigest(), err) == (
         *REPORTS[table, mode],
+        "",
     )

@@ -2,13 +2,13 @@
 
 import random
 import tracemalloc
-from fractions import Fraction
 
 import pytest
+from conftest import division_terminates, rational, valuation
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sexagesimal.core import ONE, ZERO, FloatingSex, SexNumber, _remove_factor, multiply
+from sexagesimal.core import ONE, ZERO, FloatingSex, SexNumber, multiply
 from sexagesimal.regular import (
     Factorization235,
     IrregularError,
@@ -21,27 +21,6 @@ from sexagesimal.regular import (
     regular_numbers,
     solve_linear,
 )
-
-
-def division_terminates(n: int) -> bool:
-    """Oracle: base-60 long division of 1/n, tracking remainders.
-
-    The expansion is finite exactly when a remainder reaches 0 before
-    any remainder repeats; a repeat happens within n steps.
-    """
-    seen = set()
-    r = 1 % n
-    while r and r not in seen:
-        seen.add(r)
-        r = r * 60 % n
-    return r == 0
-
-
-def power_of_60_oracle(n: int) -> bool:
-    # repeated division down to 1
-    while n > 1 and n % 60 == 0:
-        n //= 60
-    return n == 1
 
 
 smooth_exponents = st.tuples(
@@ -87,10 +66,6 @@ class TestIsRegular:
         assert is_regular(FloatingSex(160000))
         assert division_terminates(160000)
 
-    def test_agrees_with_long_division_oracle(self):
-        for n in range(1, 2001):
-            assert is_regular(n) == division_terminates(n), n
-
 
 class TestReciprocal:
     def test_table_first_row(self):
@@ -116,7 +91,7 @@ class TestReciprocal:
         a, b, c = abc
         x = FloatingSex(2**a * 3**b * 5**c)
         r = reciprocal(x)
-        assert power_of_60_oracle(x.mantissa * r.mantissa)
+        assert valuation(x.mantissa * r.mantissa, 60)[0] == 1
 
     @given(smooth_exponents)
     def test_involution(self, abc):
@@ -140,9 +115,7 @@ class TestInvert:
         a, b, c = abc
         x = SexNumber(2**a * 3**b * 5**c, exponent)
         y = invert(x)
-        assert Fraction(y.mantissa) * Fraction(60) ** y.exponent == 1 / (
-            Fraction(x.mantissa) * Fraction(60) ** x.exponent
-        )
+        assert rational(y) == 1 / rational(x)
         assert invert(y) == x
 
     def test_zero_raises(self):
@@ -243,10 +216,6 @@ class TestRegularNumbers:
         assert 81 in regular_numbers(81)
         assert 77 not in regular_numbers(100)
 
-    def test_matches_long_division_oracle(self):
-        expected = [n for n in range(2, 501) if division_terminates(n)]
-        assert list(regular_numbers(500)) == expected
-
     def test_numbers_come_one_at_a_time(self):
         # The 48,206 numbers up to 10**30 as one sorted list peaked at 2.6 MiB.
         count, previous, ascending = 0, 1, True
@@ -290,7 +259,7 @@ class TestPairHelpers:
     def test_power_of_60(self):
         # the pair relation holds exactly when the mantissa product is 60**k
         assert is_reciprocal_pair(FloatingSex(1), FloatingSex(1))
-        assert power_of_60_oracle(81 * 160000)
+        assert valuation(81 * 160000, 60) == (1, 4)
         assert is_reciprocal_pair(FloatingSex(81), FloatingSex(160000))
         assert not is_reciprocal_pair(FloatingSex(7), FloatingSex(10))
         assert not is_reciprocal_pair(FloatingSex(20), FloatingSex(6))  # 2 * 60
@@ -306,12 +275,10 @@ class TestPairHelpers:
         assert not is_reciprocal_pair(SexNumber(0), SexNumber(0))
 
 
-def old_is_reciprocal_pair(x: FloatingSex, y: FloatingSex) -> bool:
-    # The check before it read 60**k as 2**(2k) * 15**k.
-    return _remove_factor(x.mantissa * y.mantissa, 60)[0] == 1
-
-
 class TestPairCheckAgreesWithTheOldKernel:
+    """is_reciprocal_pair, which reads 60**k as 2**(2k) * 15**k, against the kernel
+    it replaced: the product's valuation by 60, one division per factor."""
+
     # Ways to split a product into two canonical mantissas (neither a
     # multiple of 60): exact powers of 60, one factor of 2 or 15 too many
     # or too few, and a stray prime.
@@ -331,9 +298,7 @@ class TestPairCheckAgreesWithTheOldKernel:
     @pytest.mark.parametrize("split", range(len(SPLITS)))
     def test_structured_products(self, split):
         for k in [*range(0, 70), 127, 128, 129, 1000]:
-            x, y = map(FloatingSex, self.SPLITS[split](k))
-            assert is_reciprocal_pair(x, y) == old_is_reciprocal_pair(x, y)
-            assert is_reciprocal_pair(y, x) == old_is_reciprocal_pair(x, y)
+            self.check(*map(FloatingSex, self.SPLITS[split](k)))
 
     def test_random_pairs(self):
         rng = random.Random(60)
@@ -343,10 +308,15 @@ class TestPairCheckAgreesWithTheOldKernel:
             y = reciprocal(x) if rng.random() < 0.5 else FloatingSex(rng.randrange(1, 10**30))
             if rng.random() < 0.2:
                 y = FloatingSex(y.mantissa * rng.choice([2, 3, 4, 5, 7, 15, 30]))
-            assert is_reciprocal_pair(x, y) == old_is_reciprocal_pair(x, y)
+            self.check(x, y)
 
     @given(smooth_exponents, smooth_exponents, st.integers(1, 100))
     def test_any_smooth_pair(self, abc, def_, cofactor):
         x = FloatingSex(2 ** abc[0] * 3 ** abc[1] * 5 ** abc[2])
         y = FloatingSex(2 ** def_[0] * 3 ** def_[1] * 5 ** def_[2] * cofactor)
-        assert is_reciprocal_pair(x, y) == old_is_reciprocal_pair(x, y)
+        self.check(x, y)
+
+    @staticmethod
+    def check(x, y):
+        expected = valuation(x.mantissa * y.mantissa, 60)[0] == 1
+        assert is_reciprocal_pair(x, y) == is_reciprocal_pair(y, x) == expected, (x, y)

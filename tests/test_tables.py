@@ -11,6 +11,15 @@ import types
 from collections import Counter
 
 import pytest
+from conftest import (
+    STANDARD_TSV,
+    digits_of,
+    division_terminates,
+    numeral,
+    regulars_up_to,
+    spelling,
+    valuation,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,40 +61,11 @@ class Trickle:
         return self.file.read(min(n, self.size))
 
 
-def smooth_235(limit: int) -> list[int]:
-    # enumerate-and-filter oracle by trial division
-    out = []
-    for n in range(2, limit + 1):
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            out.append(n)
-    return out
-
-
-def old_regular_numbers(limit):
-    # Every regular number in [2, limit] from a triple loop, sorted.
-    found = []
-    p5 = 1
-    while p5 <= limit:
-        p35 = p5
-        while p35 <= limit:
-            p = p35
-            while p <= limit:
-                found.append(p)
-                p *= 2
-            p35 *= 3
-        p5 *= 5
-    return sorted(n for n in found if n >= 2)
-
-
 def old_generate_standard(limit):
     # Each value and its reciprocal through the checking constructor and the factoring path.
     return [
         TableRow(i, FloatingSex(n), reciprocal(FloatingSex(n)))
-        for i, n in enumerate(old_regular_numbers(limit), 1)
+        for i, n in enumerate(regulars_up_to(limit), 1)
     ]
 
 
@@ -257,8 +237,9 @@ class TestGenerateStandard:
         pairs = generate_standard(500)
         values = [p.value for p in pairs]
         # every 60-smooth integer appears once, reduced to its class
-        assert values == [FloatingSex(n) for n in smooth_235(500)]
-        assert len(pairs) == len(smooth_235(500))
+        regulars = [n for n in range(2, 501) if division_terminates(n)]
+        assert values == [FloatingSex(n) for n in regulars]
+        assert len(pairs) == len(regulars)
         assert [p.index for p in pairs] == list(range(1, len(pairs) + 1))
 
 
@@ -267,7 +248,7 @@ class TestStandardTsv:
 
     def test_lines_match_the_value_rows_at_every_limit(self):
         # The table at a limit is the oracle's largest table up to that number.
-        numbers = old_regular_numbers(10**12 + 1)
+        numbers = regulars_up_to(10**12 + 1)
         rows = old_generate_standard(10**12 + 1)
         lines = list(table_tsv(rows))
         for limit in standard_limits():
@@ -291,6 +272,18 @@ class TestStandardTsv:
         monkeypatch.setattr(FloatingSex, "halve", lambda self: FloatingSex(self.mantissa * 29))
         with pytest.raises(ValueError, match="^2 and 29 are not a reciprocal pair$"):
             generate_standard(100)
+
+    def test_the_old_babylonian_table_is_arithmetic(self):
+        # The table typed from Neugebauer & Sachs, checked by arithmetic alone: row i holds
+        # the i-th regular n and igi n, the class of 60**n / n; 60 is written 1.
+        lines = STANDARD_TSV.read_text(encoding="utf-8").splitlines(keepends=True)
+        spelled = lambda n: ",".join(map(str, digits_of(valuation(n, 60)[0])))
+        rows = enumerate(regulars_up_to(81), 1)
+        assert lines == [f"{i}\t{spelled(n)}\t{spelled(60**n // n)}\n" for i, n in rows]
+
+    def test_both_writers_reproduce_the_old_babylonian_table(self):
+        text = STANDARD_TSV.read_text(encoding="utf-8")
+        assert "".join(standard_tsv(81)) == "".join(table_tsv(generate_standard(81))) == text
 
     @pytest.mark.parametrize("limit, error", [(1, ValueError), (10.5, TypeError), (True, TypeError)])
     def test_bad_limits_raise(self, limit, error):
@@ -325,6 +318,17 @@ class TestVerifyTable:
         assert pairs == [(PAIR_BAD, 1), (PAIR_BAD, 4)]
         assert (report.findings, report.counts) == reference_verify_table(rows, mode)
         assert not report.ok
+
+    @pytest.mark.parametrize("mode", ["pairs", "doubling"])
+    def test_a_miscopied_old_babylonian_entry_is_a_bad_pair(self, mode):
+        # igi 1,21 = 44,26,40 copied as 44,26,41: row 30 alone is bad.
+        rows = list(parse_tsv(tsv_file(STANDARD_TSV.read_bytes())))
+        assert rows[29] == (30, "1,21", "44,26,40")
+        rows[29] = (30, "1,21", "44,26,41")
+        report = verify_table(rows, mode)
+        pairs = [(f.kind, f.row_index) for f in report.findings if f.kind == PAIR_BAD]
+        assert (pairs, report.counts[PAIR_OK]) == ([(PAIR_BAD, 30)], 29)
+        assert (report.findings, report.counts) == reference_verify_table(rows, mode)
 
     @pytest.mark.parametrize("mode", ["pairs", "doubling"])
     def test_an_all_zero_value_has_no_floating_reading(self, mode):
@@ -398,22 +402,6 @@ class TestVerifyTable:
             verify_table([], mode="strict")
 
 
-def packed_oracle(mantissa):
-    """A mantissa's base-60 digits, one per byte, from one division per digit."""
-    out = []
-    while mantissa:
-        mantissa, d = divmod(mantissa, 60)
-        out.append(d)
-    return int.from_bytes(bytes(out[::-1]), "big")
-
-
-def numerals_from(digits, semicolon_index):
-    """The numeral of these digits with the semicolon before semicolon_index, if any."""
-    if digits[0] == 0 and len(digits) > 1 and semicolon_index not in (0, 1):
-        digits = [1, *digits[1:]]  # keep the leading-zero rule
-    return translit.Transliteration(tuple(digits), semicolon_index, "raw")
-
-
 class TestPackedChainSteps:
     """translit._Digits.double and translit._Digits.halve, floating and anchored,
     against the value objects' own."""
@@ -432,7 +420,7 @@ class TestPackedChainSteps:
         for fill, last in itertools.product([59, 30, 31], [1, 2, 29, 30, 31, 58, 59]):
             digits = [fill] * (length - 1) + [last]
             for semicolon_index in (None, 0, 1, length):
-                self.check(numerals_from(digits, semicolon_index))
+                self.check(numeral(digits, semicolon_index))
 
     @given(
         st.lists(st.sampled_from([0, 0, 1, 29, 30, 31, 58, 59]) | st.integers(0, 59),
@@ -441,7 +429,7 @@ class TestPackedChainSteps:
     )
     def test_any_digits(self, digits, data):
         semicolon_index = data.draw(st.none() | st.integers(0, len(digits)))
-        self.check(numerals_from(digits, semicolon_index))
+        self.check(numeral(digits, semicolon_index))
 
     @given(
         st.lists(st.sampled_from([0, 1, 30, 59]) | st.integers(0, 59), min_size=1, max_size=300),
@@ -458,8 +446,8 @@ class TestPackedChainSteps:
     def test_short_value_right_after_a_long_one(self, monkeypatch):
         # The 2,000-digit steps leave a long mask kept; the 3-digit ones cut it down.
         monkeypatch.setattr(translit, "_ONES", [1])
-        self.check(numerals_from([59, 31] * 1000, 3))
-        self.check(numerals_from([1, 31, 59], 1))
+        self.check(numeral([59, 31] * 1000, 3))
+        self.check(numeral([1, 31, 59], 1))
 
     @pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
     def test_kept_mask_in_any_order(self, monkeypatch, order):
@@ -474,20 +462,22 @@ class TestPackedChainSteps:
         assert translit._ones(0) == 0
 
     @staticmethod
-    def check(numeral):
-        absolute = translit.to_number(numeral, "absolute")
-        packed = translit._Digits.read(numeral, "absolute")
-        assert packed == (packed_oracle(absolute.mantissa), absolute.exponent)
+    def check(parsed):
+        absolute = translit.to_number(parsed, "absolute")
+        packed = translit._Digits.read(parsed, "absolute")
+        assert packed == (int.from_bytes(digits_of(absolute.mantissa), "big"), absolute.exponent)
         for step in ("double", "halve"):
             stepped = getattr(absolute, step)()
-            assert getattr(packed, step)() == (packed_oracle(stepped.mantissa), stepped.exponent)
+            expected = int.from_bytes(digits_of(stepped.mantissa), "big"), stepped.exponent
+            assert getattr(packed, step)() == expected
         if absolute:
-            floating = translit.to_number(numeral, "floating")
-            packed = translit._Digits.read(numeral, "floating")
-            assert packed == translit._Digits(packed_oracle(floating.mantissa))
+            floating = translit.to_number(parsed, "floating")
+            packed = translit._Digits.read(parsed, "floating")
+            assert packed == (int.from_bytes(digits_of(floating.mantissa), "big"), None)
             for step in ("double", "halve"):
                 stepped = getattr(floating, step)()
-                assert getattr(packed, step)() == translit._Digits(packed_oracle(stepped.mantissa))
+                expected = int.from_bytes(digits_of(stepped.mantissa), "big"), None
+                assert getattr(packed, step)() == expected
 
 
 class TestDigitsOfAValue:
@@ -503,7 +493,7 @@ class TestDigitsOfAValue:
             for value, reading in ((row.value, "floating"), (row.reciprocal, "absolute")):
                 expected = translit._Digits.read(translit.parse(translit.format(value)), reading)
                 assert translit._Digits.of(value) == expected
-                assert expected.packed == packed_oracle(value.mantissa)
+                assert expected.packed == int.from_bytes(digits_of(value.mantissa), "big")
 
     def test_the_long_seed_is_long(self):
         assert len(translit.format(FloatingSex(self.LONG_SEED))) == 157
@@ -515,7 +505,8 @@ class TestDigitsOfAValue:
             translit.parse(translit.format(value)), "absolute"
         )
         floating = value.to_floating()
-        assert translit._Digits.of(floating) == translit._Digits(packed_oracle(floating.mantissa))
+        packed = int.from_bytes(digits_of(floating.mantissa), "big")
+        assert translit._Digits.of(floating) == (packed, None)
 
     def test_zero_is_the_canonical_packed_zero(self):
         assert translit._Digits.of(SexNumber(0)) == translit._Digits(0, 0)
@@ -840,37 +831,31 @@ class TestTsv:
             list(parse_tsv(tsv_file(bad)))
 
 
-def tsv_oracle(rows):
-    """Each cell spelled by format from its binary value: no packed digits, no chain."""
-    return "".join(
-        f"{row.index}\t{translit.format(row.value)}\t{translit.format(row.reciprocal)}\n"
-        for row in rows
-    )
-
-
 class TestWriterAgreesWithFormatOfEachValue:
     """doubling_tsv spells every row after the first from packed digits, stepped from
-    the row before, and table_tsv every row from its values; each must read as its value does."""
+    the row before, and table_tsv every row from its values; each cell must be
+    spelled as the spelling oracle spells its value."""
 
     @staticmethod
-    def written(lines, monkeypatch):
-        """The text of a writer's lines, and how many rows it stepped with
-        translit._Digits.double."""
+    def steps(lines, rows, monkeypatch):
+        """How many rows a writer's lines stepped with translit._Digits.double; the
+        lines must spell each cell of rows as the spelling oracle does."""
         steps = []
         double = translit._Digits.double
         monkeypatch.setattr(
             translit._Digits, "double", lambda value: steps.append(1) or double(value)
         )
-        return "".join(lines), len(steps)
+        expected = [f"{i}\t{spelling(value)}\t{spelling(rec)}\n" for i, value, rec in rows]
+        assert "".join(lines).splitlines(keepends=True) == expected  # a short diff where they part
+        return len(steps)
 
     @pytest.mark.parametrize("anchor", range(-3, 4))
     @pytest.mark.parametrize("seed", ["10", "1,21", "7,30"])
     def test_generated_tables(self, seed, anchor, monkeypatch):
         seed_value = translit.to_number(translit.parse(seed), "floating")
         rows = list(generate_doubling(seed_value, 300, anchor))
-        text, steps = self.written(doubling_tsv(seed_value, 300, anchor), monkeypatch)
-        assert text == tsv_oracle(rows)
-        assert steps == 299  # every row after the first came from the chain
+        # Every row after the first came from the chain.
+        assert self.steps(doubling_tsv(seed_value, 300, anchor), rows, monkeypatch) == 299
 
     def test_rows_that_break_the_chain(self, monkeypatch):
         rows = list(generate_doubling(15, 60, anchor_exponent=-1))
@@ -882,12 +867,8 @@ class TestWriterAgreesWithFormatOfEachValue:
         rows[40] = rows[40]._replace(value=rows[40].value.anchor(2))  # an anchored value
         rows[49] = rows[49]._replace(reciprocal=SexNumber(0))
         rows[50] = rows[50]._replace(reciprocal=SexNumber(0))
-        text, steps = self.written(table_tsv(rows), monkeypatch)
-        assert text == tsv_oracle(rows)
-        assert steps == 0  # table_tsv spells each row from its own values
+        assert self.steps(table_tsv(rows), rows, monkeypatch) == 0  # each row from its values
 
     def test_a_standard_table(self, monkeypatch):
         rows = generate_standard(10**6)
-        text, steps = self.written(table_tsv(rows), monkeypatch)
-        assert text == tsv_oracle(rows)
-        assert steps == 0
+        assert self.steps(table_tsv(rows), rows, monkeypatch) == 0
